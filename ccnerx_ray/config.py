@@ -54,8 +54,7 @@ class PipelineConfig:
                                      # layer index (mid-stack, like the
                                      # reference's add_layer; LEBert.py:141)
 
-    # --- canonicalization / shuffle hygiene ---
-    canonical_salt_buckets: int = 16  # salt fan-out for hot normalized keys
+    # --- co-occurrence emission ---
     cooccur_cap: int = 8              # max co-occurrence pairs emitted per segment
 
     # --- execution knobs (sized for 32-CPU single node; scale by cluster) ---

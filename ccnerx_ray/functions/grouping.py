@@ -10,9 +10,13 @@ engine) inside each coarse group. Exactness is preserved — every row of a
 true group lands in the same coarse group. Measured on the LSH bucket
 stage: 16s → 1.6s at sf0.1 (identical output).
 
+Fan-out comes from the data (:func:`derive_hash_partitions`): one coarse
+group per 256 MiB of input, clamped to ``[cpus, 4*cpus]`` — on one CPU a
+small input is one group and the shuffle degenerates to a single coalesce.
+
 Skew note: a single hot TRUE key still lands in one coarse group; stages
-with adversarial key skew (canonicalization) pre-combine per batch and/or
-salt the key before coarse grouping (see stages/canonical.py).
+with adversarial key skew (canonicalization) pre-combine per batch before
+coarse grouping (see stages/canonical.py).
 """
 
 from __future__ import annotations
@@ -26,6 +30,28 @@ import pyarrow as pa
 from ccnerx_ray.functions.hashing import stable_hash64
 
 COARSE_COL = "_coarse"
+
+# shuffle sizing: one partition per this many input bytes, clamped to
+# [cpus, 4*cpus] — enough to keep every core busy, never so many that
+# per-partition overhead dominates
+PARTITION_BYTES = 256 << 20
+
+
+def derive_hash_partitions(size_bytes: int | None,
+                           cpus: int | None = None) -> int:
+    """The fan-out rule for every shuffle sized from its data:
+    ``clamp(size_bytes / 256 MiB, cpus, 4*cpus)`` (VERDICT r2 #4 — a
+    constant under-partitions a fact-scale input on a real cluster and
+    over-partitions a small one). Unknown size falls back to the CPU
+    count (every core busy)."""
+    if cpus is None:
+        import ray
+        cpus = (int(ray.cluster_resources().get("CPU", 8))
+                if ray.is_initialized() else 8)
+    cpus = max(1, cpus)
+    if size_bytes is None:
+        return cpus
+    return int(min(max(size_bytes / PARTITION_BYTES, cpus), 4 * cpus))
 
 
 def add_coarse_column(key_cols: Sequence[str], num_buckets: int):
@@ -93,18 +119,32 @@ def _normalize_blocks(out_dtypes: dict[str, str]):
 
 def coarse_grouped(ds, key_cols: Sequence[str],
                    local_fn: Callable[[pd.DataFrame], pd.DataFrame],
-                   num_buckets: int = 1024,
+                   num_buckets: int | None = None,
                    out_dtypes: dict[str, str] | None = None):
     """Apply ``local_fn`` to each COARSE group (a pandas frame containing
     whole true groups; ``local_fn`` must group by ``key_cols`` itself,
     vectorized). Output frames are concatenated into the result Dataset.
 
+    ``num_buckets=None`` (default) takes the fan-out from
+    :func:`derive_hash_partitions` with no size hint (the CPU count);
+    callers that hold a size pass ``derive_hash_partitions(size)``.
+
     ``out_dtypes`` (column → pandas dtype) pins the output schema for
     EMPTY results: a group that yields zero rows (or an empty input block
     the shuffle hands us) otherwise loses column names/types and triggers
     RefBundle schema-mismatch unification downstream (VERDICT r1 #5)."""
-    keyed = ds.map_batches(add_coarse_column(key_cols, num_buckets),
-                           batch_format="pyarrow")
+    if num_buckets is None:
+        num_buckets = derive_hash_partitions(None)
+    if num_buckets > 1:
+        keyed = ds.map_batches(add_coarse_column(key_cols, num_buckets),
+                               batch_format="pyarrow")
+        key = COARSE_COL
+    else:
+        # one coarse group: groupby(None) coalesces the input into ONE
+        # block. Sorting on a constant _coarse instead keeps one output
+        # partition per input block, and every partition but one would
+        # leave the shuffle as a schema-less empty block that no map sees.
+        keyed, key = ds, None
 
     def run(g: pd.DataFrame) -> pd.DataFrame:
         if COARSE_COL in g.columns:
@@ -116,7 +156,7 @@ def coarse_grouped(ds, key_cols: Sequence[str],
             return typed_empty(out_dtypes)
         return out
 
-    out = keyed.groupby(COARSE_COL).map_groups(run, batch_format="pandas")
+    out = keyed.groupby(key).map_groups(run, batch_format="pandas")
     if out_dtypes is not None:
         out = out.map_batches(_normalize_blocks(out_dtypes),
                               batch_format="pyarrow")

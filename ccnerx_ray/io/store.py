@@ -40,9 +40,15 @@ def add_part_column(num_partitions: int):
 
 
 def write_triple_store(triples, out_dir: str, num_partitions: int = 16,
-                       lineage_extra: dict | None = None) -> dict:
+                       lineage_extra: dict | None = None,
+                       min_rows_per_file: int | None = None) -> dict:
     """Write a triples Dataset as ``out_dir/part={k}/*.parquet`` with
-    lineage sidecars. Returns the run-level lineage summary."""
+    lineage sidecars. Returns the run-level lineage summary.
+
+    Each write task leaves one file per partition it holds rows for.
+    ``min_rows_per_file`` (``Dataset.write_parquet``'s bundling target)
+    gathers blocks into tasks of at least that many rows; ``None`` keeps
+    one task per upstream block."""
     t0 = time.time()
     if os.path.isdir(out_dir) and any(
             d.startswith("part=") for d in os.listdir(out_dir)):
@@ -53,7 +59,8 @@ def write_triple_store(triples, out_dir: str, num_partitions: int = 16,
     os.makedirs(out_dir, exist_ok=True)
     ds = triples.map_batches(add_part_column(num_partitions),
                              batch_format="pyarrow")
-    ds.write_parquet(out_dir, partition_cols=["part"])
+    ds.write_parquet(out_dir, partition_cols=["part"],
+                     min_rows_per_file=min_rows_per_file)
     wall = time.time() - t0
     # num_partitions goes into the lineage summary: write_parquet only
     # creates directories for NON-EMPTY partitions, so counting part= dirs
@@ -116,6 +123,16 @@ def write_lineage(out_dir: str, wall_s: float,
     with open(os.path.join(lin_dir, "_summary.json"), "w") as fh:
         json.dump(summary, fh)
     return summary
+
+
+def store_summary(store_dir: str) -> dict:
+    """The run-level lineage summary of a store (``rows``, ``bytes``,
+    ``num_partitions`` …) — ``{}`` when it has none (a chunked store)."""
+    path = os.path.join(store_dir, LINEAGE_DIR, "_summary.json")
+    if not os.path.isfile(path):
+        return {}
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def read_triple_store(paths: str | list[str], columns: list[str] | None = None):
@@ -181,13 +198,8 @@ def lookup_subject(store_dir: str, subj: str, num_partitions: int | None = None)
         # counting part= dirs is wrong when some partitions were empty
         # (write_parquet skips them) and would silently shift the modulus
         chunks = [d for d in os.listdir(store_dir) if d.startswith("chunk=")]
-        lin = (os.path.join(store_dir, chunks[0], LINEAGE_DIR, "_summary.json")
-               if chunks else
-               os.path.join(store_dir, LINEAGE_DIR, "_summary.json"))
-        summary = {}
-        if os.path.isfile(lin):
-            with open(lin) as fh:
-                summary = json.load(fh)
+        summary = store_summary(os.path.join(store_dir, chunks[0])
+                                if chunks else store_dir)
         num_partitions = summary.get("num_partitions",
                                      summary.get("partitions"))
         if not num_partitions:

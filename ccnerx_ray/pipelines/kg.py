@@ -6,6 +6,18 @@ pool)`` → ``map_batches(triple emitter)`` → partitioned triple store; the
 canonical entity table is then derived from the (small) store — the only
 shuffle in the whole job.
 
+``update_kg`` refreshes a store from a new corpus: unchanged documents'
+triples carry forward through a BROADCAST semi join (the doc-scale
+corpus key set is shipped once and each old-store batch is filtered with
+``pc.is_in`` — no shuffle of the triple-scale side; past the broadcast
+bound ``adaptive_join`` falls back to a hash join), and only new or
+changed documents are re-tagged.
+
+Every shuffle and write width on these paths is sized from sizes the job
+already holds (the write summary's ``bytes``, the old store's lineage)
+through one rule, ``grouping.derive_hash_partitions`` — no fan-out is
+hard-coded.
+
 Every stage streams: no ``materialize()``/``take_all()`` on big data, the
 wide ``content`` column dies at segmentation, and the catalog is broadcast
 once via ``ray.put`` and read per actor — never re-shipped per batch and
@@ -205,7 +217,7 @@ def run_kg(corpus_paths, catalog_pairs, out_dir: str,
     ``update_kg`` precedent: re-reading beats holding 10^12 files'
     content in the object store as a union input), and both branches
     stream independently under the executor."""
-    from ccnerx_ray.io.store import read_triple_store, write_triple_store
+    from ccnerx_ray.io.store import write_triple_store
 
     corpus = read_corpus(corpus_paths, cfg)
     triples = triples_dataset(corpus, catalog_pairs, cfg)
@@ -219,13 +231,22 @@ def run_kg(corpus_paths, catalog_pairs, out_dir: str,
         summary["entities_path"] = None
         return summary
     if build_entities:
-        store = read_triple_store(
-            out_dir, columns=["subj", "pred", "norm_key", "surface", "label"])
-        ents = entities_from_triples(store)
-        ents_path = out_dir.rstrip("/") + "_entities"
-        ents.write_parquet(ents_path)
-        summary["entities_path"] = ents_path
+        summary["entities_path"] = _write_entities(out_dir, summary["bytes"])
     return summary
+
+
+def _write_entities(store_dir: str, store_bytes: int) -> str:
+    """Derive the canonical entity table from a freshly written store and
+    write it next to the store; the shuffle is sized from the store's
+    written bytes. Returns the entity table's path."""
+    from ccnerx_ray.io.store import read_triple_store
+
+    store = read_triple_store(
+        store_dir, columns=["subj", "pred", "norm_key", "surface", "label"])
+    ents_path = store_dir.rstrip("/") + "_entities"
+    entities_from_triples(store, input_bytes=store_bytes).write_parquet(
+        ents_path)
+    return ents_path
 
 
 def _doc_key_batch(cols: list[str], sha_col: str | None = None):
@@ -264,13 +285,22 @@ def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
     commit, content_sha256); against an existing store:
 
     * triples of documents still present carry forward UNTAGGED — a
-      hash-partitioned semi join of the old store against the corpus key
-      set (``grouping.semi_join_on``: both sides stay distributed,
-      nothing broadcasts);
+      left-semi ``adaptive_join`` of the old store against the corpus key
+      set. The key set is doc-scale, so its stats-based choice
+      broadcasts it once and filters each old-store batch with
+      ``pc.is_in``: the triple-scale side is never shuffled. Past the
+      broadcast bound it falls back to a hash join sized from the old
+      store's lineage bytes;
     * only NEW keys (changed content, new or moved files) run through
       the tagger — a left-anti ``adaptive_join`` of the corpus against
       the old store's distinct keys;
     * triples of removed/changed documents simply fail the semi join.
+
+    Shuffle widths come from the old store's lineage summary through
+    ``derive_hash_partitions``, and the write is bundled to one task per
+    ``PARTITION_BYTES`` of store at the old store's bytes per row, so an
+    updated store keeps a build's layout (one file per partition per
+    write task) instead of one file per upstream block.
 
     The result is bit-equal to a fresh full ``run_kg`` over the new
     corpus (test-enforced at the triple-multiset level) while the tagger
@@ -278,9 +308,11 @@ def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
     ``docs_retagged`` / ``docs_total`` so a run can prove how little it
     did. Assumes corpus rows are unique per (repo, path, commit) — the
     same assumption a full run's per-row provenance makes."""
-    from ccnerx_ray.functions.grouping import (drop_duplicate_rows,
-                                               semi_join_on)
-    from ccnerx_ray.io.store import read_triple_store, write_triple_store
+    from ccnerx_ray.functions.grouping import (PARTITION_BYTES,
+                                               derive_hash_partitions,
+                                               drop_duplicate_rows)
+    from ccnerx_ray.io.store import (read_triple_store, store_summary,
+                                     write_triple_store)
     from ccnerx_ray.ops.join import adaptive_join
     from ccnerx_ray.stages.triples import TRIPLE_SCHEMA
 
@@ -293,6 +325,9 @@ def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
         _doc_key_batch(["repo", "path", "commit"]),
         batch_format="pyarrow")
 
+    # sizes the old store's lineage already holds — no extra pass
+    old_summary = store_summary(old_store_dir)
+    old_bytes = old_summary.get("bytes") or None
     old = read_triple_store(old_store_dir).map_batches(
         _doc_key_batch(["repo", "path", "commit"],
                        sha_col="content_sha256"),
@@ -305,15 +340,16 @@ def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
         import pyarrow as _pa
         return batch.select(tcols).cast(_pa.schema(TRIPLE_SCHEMA))
 
-    kept = semi_join_on(
-        old, "_doc_key", corpus_keys, num_buckets=256,
-        out_dtypes={c: "string" for c in tcols + ["_doc_key"]},
+    kept = adaptive_join(
+        old, corpus_keys, on="_doc_key", join_type="left_semi",
+        probe_bytes_hint=old_bytes,
     ).map_batches(strip_key, batch_format="pyarrow")
 
     # distinct old doc keys — a digest-scale table (one row per doc, not
     # per triple) for the anti join's build side
     old_keys = drop_duplicate_rows(
-        old.select_columns(["_doc_key"]), ["_doc_key"], num_buckets=64)
+        old.select_columns(["_doc_key"]), ["_doc_key"],
+        num_buckets=derive_hash_partitions(old_bytes))
     fresh_corpus = adaptive_join(corpus, old_keys, on="_doc_key",
                                  join_type="left_anti")
     fresh_corpus = fresh_corpus.drop_columns(["_doc_key",
@@ -331,20 +367,22 @@ def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
     extra = dict(input_fingerprint(corpus_paths),
                  updated_from=old_store_dir,
                  docs_total=docs_total, docs_retagged=docs_retagged)
+    # write width: one task per PARTITION_BYTES of store, at the old
+    # store's bytes per row. The shuffle rule's [cpus, 4*cpus] clamp is
+    # left out on purpose: its floor would split a small store into cpus
+    # files per partition, and its cap would let a task's bundle grow
+    # without bound (Ray's Parquet sink holds a task's blocks at once).
+    rows_per_task = (max(1, old_summary["rows"] * PARTITION_BYTES
+                         // old_bytes) if old_bytes else None)
     summary = write_triple_store(kept.union(fresh), out_dir,
                                  cfg.output_partitions,
-                                 lineage_extra=extra)
+                                 lineage_extra=extra,
+                                 min_rows_per_file=rows_per_task)
     if summary["rows"] == 0:
         summary["entities_path"] = None
         return summary
     if build_entities:
-        store = read_triple_store(
-            out_dir, columns=["subj", "pred", "norm_key", "surface",
-                              "label"])
-        ents = entities_from_triples(store)
-        ents_path = out_dir.rstrip("/") + "_entities"
-        ents.write_parquet(ents_path)
-        summary["entities_path"] = ents_path
+        summary["entities_path"] = _write_entities(out_dir, summary["bytes"])
     summary["docs_retagged"] = docs_retagged
     summary["docs_total"] = docs_total
     return summary

@@ -1,4 +1,4 @@
-"""Surface-form canonicalization: salted two-phase groupby clustering.
+"""Surface-form canonicalization: combiner + one coarse groupby.
 
 The reference groups entity surfaces by label / exact string key in-memory
 (``label_collections.py:63-95``, ``label_counter.py:26-54`` — G4/G5). At
@@ -7,12 +7,11 @@ every mention row AND a skew bomb (a monorepo's dominant identifiers form
 giant groups — SURVEY.md §7). This stage defuses both:
 
 1. **combiner** (``map_batches``): partial count per
-   ``(norm_key, label, surface)`` inside each batch — hot keys collapse to
-   one row per batch before anything moves;
-2. **salted partial reduce**: ``groupby([norm_key, salt])`` with
-   ``salt = hash(surface) % S`` merges combiner rows without concentrating
-   a hot key on one reducer;
-3. **final reduce**: ``groupby(norm_key)`` over the (now tiny) partials
+   ``(norm_key, label, surface)`` inside each batch — a hot key collapses
+   to one row per (key, label, surface) per batch before anything moves,
+   so the shuffle carries digest-scale rows whatever the skew;
+2. **final reduce**: one coarse ``groupby(norm_key)`` over the partials,
+   its fan-out sized from the input (``grouping.derive_hash_partitions``),
    picks the majority label and representative surface (ties broken
    lexicographically — deterministic).
 
@@ -33,8 +32,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ccnerx_ray.config import PipelineConfig
-from ccnerx_ray.functions.hashing import entity_id, stable_hash64
+from ccnerx_ray.functions.hashing import entity_id
 
 ENTITY_SCHEMA = pa.schema([
     ("entity_id", pa.string()),
@@ -46,9 +44,8 @@ ENTITY_SCHEMA = pa.schema([
 
 
 def make_combiner(key_col: str = "norm_key", label_col: str = "linked_label",
-                  surface_col: str = "surface",
-                  salt_buckets: int = PipelineConfig.canonical_salt_buckets):
-    """Phase-1 combiner factory: within-batch partial counts (pre-shuffle)."""
+                  surface_col: str = "surface"):
+    """Combiner factory: within-batch partial counts (pre-shuffle)."""
 
     def combine(batch: pa.Table) -> pa.Table:
         df = pa.Table.from_arrays(
@@ -56,15 +53,9 @@ def make_combiner(key_col: str = "norm_key", label_col: str = "linked_label",
             names=["norm_key", "label", "surface"]).to_pandas()
         g = (df.groupby(["norm_key", "label", "surface"], sort=False)
                .size().reset_index(name="cnt"))
-        g["salt"] = [stable_hash64(s) % salt_buckets for s in g["surface"]]
         return pa.Table.from_pandas(g, preserve_index=False)
 
     return combine
-
-
-def _merge_partials(g: pd.DataFrame) -> pd.DataFrame:
-    return (g.groupby(["norm_key", "label", "surface"], sort=False)["cnt"]
-              .sum().reset_index())
 
 
 def _finalize_local(g: pd.DataFrame) -> pd.DataFrame:
@@ -89,38 +80,39 @@ def _finalize_local(g: pd.DataFrame) -> pd.DataFrame:
     return out[["entity_id", "norm_key", "label", "repr_surface", "n_mentions"]]
 
 
-def canonicalize(mentions, salted: bool = True, label_col: str = "linked_label"):
+def canonicalize(mentions, label_col: str = "linked_label",
+                 input_bytes: int | None = None):
     """flat mention Dataset → canonical entity Dataset.
 
-    Both reduce phases run as coarse hash-partitioned groupbys
-    (:func:`ccnerx_ray.functions.grouping.coarse_grouped`): bounded
-    partition count, vectorized pandas reduction inside — the per-group
-    ``map_groups`` overhead never appears, and the salt keeps a hot
-    norm_key's partials spread across phase-1 reducers."""
-    from ccnerx_ray.functions.grouping import coarse_grouped
+    The reduce runs as one coarse hash-partitioned groupby
+    (:func:`ccnerx_ray.functions.grouping.coarse_grouped`) with a
+    vectorized pandas reduction inside, so the per-group ``map_groups``
+    overhead never appears. Its fan-out comes from ``input_bytes`` (a
+    size the caller already holds, e.g. the store's lineage bytes; no
+    extra pass) through ``derive_hash_partitions``; ``None`` means the
+    CPU count."""
+    from ccnerx_ray.functions.grouping import (coarse_grouped,
+                                               derive_hash_partitions)
 
     partials = mentions.map_batches(make_combiner(label_col=label_col),
                                     batch_format="pyarrow")
-    if salted:
-        partials = coarse_grouped(
-            partials, ["norm_key", "salt"], _merge_partials, num_buckets=512,
-            out_dtypes={"norm_key": "string", "label": "string",
-                        "surface": "string", "cnt": "int64"})
     return coarse_grouped(
-        partials, ["norm_key"], _finalize_local, num_buckets=512,
+        partials, ["norm_key"], _finalize_local,
+        num_buckets=derive_hash_partitions(input_bytes),
         out_dtypes={"entity_id": "string", "norm_key": "string",
                     "label": "string", "repr_surface": "string",
                     "n_mentions": "int64"})
 
 
-def entities_from_triples(triples, salted: bool = True):
+def entities_from_triples(triples, input_bytes: int | None = None):
     """Triple-store Dataset → canonical entity Dataset.
 
     Counts segment-level support (one ``mentioned_in`` row per distinct
     entity per segment), which is the store-native notion of ``n_mentions``.
+    ``input_bytes`` sizes the shuffle (see :func:`canonicalize`).
     """
     ment = triples.map_batches(filter_mentioned_in, batch_format="pyarrow")
-    return canonicalize(ment, salted=salted, label_col="label")
+    return canonicalize(ment, label_col="label", input_bytes=input_bytes)
 
 
 def filter_mentioned_in(batch: pa.Table) -> pa.Table:
@@ -215,7 +207,7 @@ def alias_pairs(entities, threshold: float = 0.6, max_group: int = 256,
                              "jaccard_pm": sim})
 
     keyed = entities.map_batches(add_bucket, batch_format="pyarrow")
-    pairs = coarse_grouped(keyed, ["_bucket"], local, num_buckets=64,
+    pairs = coarse_grouped(keyed, ["_bucket"], local,
                            out_dtypes={"canonical_id": "string",
                                        "alias_id": "string",
                                        "jaccard_pm": "int64"})
@@ -225,7 +217,6 @@ def alias_pairs(entities, threshold: float = 0.6, max_group: int = 256,
                  .drop_duplicates(subset=["canonical_id", "alias_id"]))
 
     return coarse_grouped(pairs, ["canonical_id", "alias_id"], dedup,
-                          num_buckets=16,
                           out_dtypes={"canonical_id": "string",
                                       "alias_id": "string",
                                       "jaccard_pm": "int64"})
@@ -308,7 +299,7 @@ def alias_pairs_semantic(entities, embedding, threshold: float = 0.8,
                              "cos_pm": sim})
 
     keyed = entities.map_batches(add_bucket, batch_format="pyarrow")
-    pairs = coarse_grouped(keyed, ["_bucket"], local, num_buckets=64,
+    pairs = coarse_grouped(keyed, ["_bucket"], local,
                            out_dtypes={"canonical_id": "string",
                                        "alias_id": "string",
                                        "cos_pm": "int64"})
@@ -318,7 +309,6 @@ def alias_pairs_semantic(entities, embedding, threshold: float = 0.8,
                  .drop_duplicates(subset=["canonical_id", "alias_id"]))
 
     return coarse_grouped(pairs, ["canonical_id", "alias_id"], dedup,
-                          num_buckets=16,
                           out_dtypes={"canonical_id": "string",
                                       "alias_id": "string",
                                       "cos_pm": "int64"})

@@ -847,6 +847,67 @@ def test_derive_hash_partitions_scales_with_probe_size():
     mid = 24 * (256 << 20)                              # 24 partitions' worth
     assert dp(mid, cpus=16) == 24                       # proportional between
     assert dp(mid, cpus=16) < dp(2 * mid, cpus=32)      # monotone in size
+    assert dp(None, cpus=1) == 1                        # unknown → cpus
+    assert dp(1 << 20, cpus=1) == 1                     # 1 MB store, 1 CPU
+    # one rule: the join module re-exports the grouping module's function
+    from ccnerx_ray.functions.grouping import derive_hash_partitions
+    assert dp is derive_hash_partitions
+
+
+def test_coarse_grouped_one_bucket_blocks_carry_schema(ray_session):
+    """At fan-out 1 (the rule's answer for a small input on one CPU) a
+    multi-block input must not leave schema-less empty blocks behind:
+    every block carries the declared schema, so the blocks concatenate."""
+    import ray
+    import ray.data
+    from ccnerx_ray.functions.grouping import coarse_grouped
+
+    ds = ray.data.from_items(
+        [{"k": f"k{i % 7}", "v": i} for i in range(200)]).repartition(5)
+
+    def local(g):
+        return g.groupby("k", sort=False)["v"].sum().reset_index()
+
+    out = coarse_grouped(ds, ["k"], local, num_buckets=1,
+                         out_dtypes={"k": "string", "v": "int64"})
+    want = pa.schema([("k", pa.string()), ("v", pa.int64())])
+    blocks = ray.get(out.to_arrow_refs())
+    assert blocks and all(b.schema == want for b in blocks)
+    got = pa.concat_tables(blocks)
+    assert sorted(zip(got.column("k").to_pylist(),
+                      got.column("v").to_pylist())) == sorted(
+        (f"k{j}", sum(i for i in range(200) if i % 7 == j)) for j in range(7))
+
+
+def test_kg_path_has_no_literal_fanout():
+    """Every shuffle on the run_kg / update_kg path is sized from its data:
+    no integer literal may be passed as ``num_buckets=`` or
+    ``num_partitions=`` (or be their default) in the modules on it."""
+    import ast
+    import pathlib
+
+    import ccnerx_ray
+
+    pkg = pathlib.Path(ccnerx_ray.__file__).parent
+    names = {"num_buckets", "num_partitions"}
+    bad = []
+    for rel in ("stages/canonical.py", "pipelines/kg.py"):
+        tree = ast.parse((pkg / rel).read_text())
+        for node in ast.walk(tree):
+            pairs = []
+            if isinstance(node, ast.Call):
+                pairs = [(k.arg, k.value) for k in node.keywords]
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                pos = a.posonlyargs + a.args
+                pairs = list(zip([x.arg for x in pos[len(pos) - len(a.defaults):]],
+                                 a.defaults))
+                pairs += [(x.arg, d) for x, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            bad += [f"{rel}:{v.lineno} {k}={v.value}" for k, v in pairs
+                    if k in names and isinstance(v, ast.Constant)
+                    and isinstance(v.value, int)]
+    assert not bad, bad
 
 
 def test_adaptive_join_lying_low_estimate_falls_back(ray_session):

@@ -362,6 +362,70 @@ def test_embedding_dedup_off_derived_embeddings(ray_session):
     assert got == {(1, 2)}
 
 
+def _corpus_v2(corpus_dir: str, v2: str) -> tuple[str, int]:
+    """The fixture corpus with 5 docs removed, 7 changed in place (a token
+    appended) and 4 added, written as two files under ``v2``. Returns the
+    directory and its row count."""
+    rows = []
+    for f in sorted(glob.glob(os.path.join(corpus_dir, "*.parquet"))):
+        rows.extend(pq.read_table(f).to_pylist())
+    rows = rows[5:]                       # 5 removed
+    for r in rows[:7]:                    # 7 changed in place
+        r["content"] = r["content"] + "\nchanged_token = 1"
+    for j in range(4):                    # 4 added
+        rows.append({"repo": "new/repo", "path": f"added_{j}.py",
+                     "commit": "f" * 40, "lang": "python",
+                     "content": f"import parse_cfg\nadded_{j} = MAX_N"})
+    os.makedirs(v2)
+    t = pa.Table.from_pylist(rows)
+    pq.write_table(t.slice(0, t.num_rows // 2), os.path.join(v2, "a.parquet"))
+    pq.write_table(t.slice(t.num_rows // 2), os.path.join(v2, "b.parquet"))
+    return v2, len(rows)
+
+
+def test_update_kg_store_layout_matches_build(ray_session, corpus_dir,
+                                              catalog_pairs, tmp_path):
+    """An updated store keeps a build's layout: no partition holds more
+    files than the same partition of a fresh ``run_kg`` over the new
+    corpus (the write is bundled from the old store's lineage, not one
+    file per upstream block), and ``lookup_subject`` on it equals a
+    pyarrow scan."""
+    import pyarrow.dataset as pds
+
+    from ccnerx_ray.io.store import lookup_subject
+    from ccnerx_ray.pipelines.kg import update_kg
+
+    store1 = str(tmp_path / "store1")
+    run_kg(corpus_dir, catalog_pairs, store1, CFG, build_entities=False)
+    v2, _ = _corpus_v2(corpus_dir, str(tmp_path / "v2"))
+    upd = str(tmp_path / "store_upd")
+    full = str(tmp_path / "store_full")
+    update_kg(v2, catalog_pairs, store1, upd, CFG, build_entities=False)
+    run_kg(v2, catalog_pairs, full, CFG, build_entities=False)
+
+    def files_per_part(store):
+        return {d: len(glob.glob(os.path.join(store, d, "*.parquet")))
+                for d in os.listdir(store) if d.startswith("part=")}
+
+    got, want = files_per_part(upd), files_per_part(full)
+    assert set(got) == set(want)
+    assert all(got[d] <= want[d] for d in got), (got, want)
+
+    table = pds.dataset(upd, format="parquet",
+                        partitioning="hive").to_table()
+    subjects = sorted(set(table.column("subj").to_pylist()))
+    assert subjects
+    cols = [c for c in table.column_names if c != "part"]
+
+    def rows_key(rows):
+        return sorted(tuple(r[c] for c in cols) for r in rows)
+
+    for subj in subjects[::max(1, len(subjects) // 25)] + ["no-such-subj"]:
+        scan = table.filter(pds.field("subj") == subj).select(cols)
+        assert rows_key(lookup_subject(upd, subj)) == rows_key(
+            scan.to_pylist()), subj
+
+
 def test_update_kg_incremental_equals_full_run(ray_session, corpus_dir,
                                                catalog_pairs, tmp_path):
     """Incremental delta update (north rule: a daily corpus drop must
@@ -370,31 +434,12 @@ def test_update_kg_incremental_equals_full_run(ray_session, corpus_dir,
     SAME triple multiset as a fresh full run over v2 and (b) run the
     tagger over ONLY the delta (lineage proves it)."""
     import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq2
 
     from ccnerx_ray.pipelines.kg import update_kg
 
     store1 = str(tmp_path / "store1")
     run_kg(corpus_dir, catalog_pairs, store1, CFG, build_entities=False)
-
-    # build v2: drop 5 docs, modify 7 (append a token), add 4 new
-    files = sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
-    rows = []
-    for f in files:
-        rows.extend(pq2.read_table(f).to_pylist())
-    rows = rows[5:]                       # 5 removed
-    for r in rows[:7]:                    # 7 changed in place
-        r["content"] = r["content"] + "\nchanged_token = 1"
-    for j in range(4):                    # 4 added
-        rows.append({"repo": "new/repo", "path": f"added_{j}.py",
-                     "commit": "f" * 40, "lang": "python",
-                     "content": f"import parse_cfg\nadded_{j} = MAX_N"})
-    v2 = str(tmp_path / "v2")
-    os.makedirs(v2)
-    t = pa.Table.from_pylist(rows)
-    pq2.write_table(t.slice(0, t.num_rows // 2), os.path.join(v2, "a.parquet"))
-    pq2.write_table(t.slice(t.num_rows // 2), os.path.join(v2, "b.parquet"))
+    v2, n_rows = _corpus_v2(corpus_dir, str(tmp_path / "v2"))
 
     upd = str(tmp_path / "store_upd")
     full = str(tmp_path / "store_full")
@@ -402,7 +447,7 @@ def test_update_kg_incremental_equals_full_run(ray_session, corpus_dir,
                       build_entities=False)
     run_kg(v2, catalog_pairs, full, CFG, build_entities=False)
 
-    assert s_upd["docs_total"] == len(rows)
+    assert s_upd["docs_total"] == n_rows
     assert s_upd["docs_retagged"] == 7 + 4    # changed + added only
 
     def triple_frame(store):
