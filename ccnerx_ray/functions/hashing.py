@@ -252,7 +252,3 @@ def simhash64(token_hashes: np.ndarray) -> int:
         if votes[i] > 0:
             out |= np.uint64(1) << np.uint64(i)
     return int(out)
-
-
-def hamming64(a: int, b: int) -> int:
-    return bin((int(a) ^ int(b)) & ((1 << 64) - 1)).count("1")

@@ -135,6 +135,32 @@ def store_summary(store_dir: str) -> dict:
         return json.load(fh)
 
 
+def store_num_partitions(store_dir: str) -> int:
+    """The ``part = stable_hash64(subj) % P`` modulus of a store, from its
+    lineage — counting ``part=`` dirs is wrong when some partitions were
+    empty (write_parquet skips them) and would silently shift the modulus.
+
+    In a chunked store every chunk's summary is read and all must agree:
+    chunks written with different ``P`` (a resume with another
+    ``--partitions``) put one subject in different ``part=`` dirs, so any
+    single modulus would silently miss rows — raises ``ValueError``.
+    Falls back to the summary's ``partitions`` (stores written before
+    ``num_partitions`` was recorded), then to counting ``part=`` dirs."""
+    entries = os.listdir(store_dir)
+    roots = sorted(d for d in entries if d.startswith("chunk=")) or ["."]
+    summaries = [store_summary(os.path.join(store_dir, r)) for r in roots]
+    recorded = {r: s["num_partitions"] for r, s in zip(roots, summaries)
+                if s.get("num_partitions")}
+    if len(set(recorded.values())) > 1:
+        raise ValueError(
+            f"chunks of {store_dir} disagree on num_partitions {recorded}; "
+            "rebuild the store with one partition count")
+    if recorded:
+        return next(iter(recorded.values()))
+    return (summaries[0].get("partitions")
+            or sum(1 for d in entries if d.startswith("part=")))
+
+
 def read_triple_store(paths: str | list[str], columns: list[str] | None = None):
     """Read the partitioned store back as a Dataset (column-pruned)."""
     import ray.data
@@ -194,17 +220,7 @@ def lookup_subject(store_dir: str, subj: str, num_partitions: int | None = None)
     from ccnerx_ray.functions.hashing import stable_hash64
 
     if num_partitions is None:
-        # authoritative source: the lineage summary's num_partitions —
-        # counting part= dirs is wrong when some partitions were empty
-        # (write_parquet skips them) and would silently shift the modulus
-        chunks = [d for d in os.listdir(store_dir) if d.startswith("chunk=")]
-        summary = store_summary(os.path.join(store_dir, chunks[0])
-                                if chunks else store_dir)
-        num_partitions = summary.get("num_partitions",
-                                     summary.get("partitions"))
-        if not num_partitions:
-            num_partitions = sum(1 for d in os.listdir(store_dir)
-                                 if d.startswith("part="))
+        num_partitions = store_num_partitions(store_dir)
 
     part = stable_hash64(subj) % num_partitions
     roots = []
@@ -236,6 +252,11 @@ def compact_store(store_dir: str, out_dir: str,
 
     import ray
 
+    # carry num_partitions from the source store's lineage: without it a
+    # compacted store's lookup modulus would fall back to counting
+    # non-empty part= dirs (the very under-count bug lookup_subject fixes).
+    # Read first: chunks written with different moduli must not be merged.
+    src_np = store_num_partitions(store_dir)
     entries = os.listdir(store_dir)
     chunked = [d for d in sorted(entries) if d.startswith("chunk=")]
     roots = ([os.path.join(store_dir, c) for c in chunked]
@@ -272,15 +293,6 @@ def compact_store(store_dir: str, out_dir: str,
                     w.write_table(t)
                     rows += t.num_rows
         return rows
-
-    # carry num_partitions from the source store's lineage: without it a
-    # compacted store's lookup modulus would fall back to counting
-    # non-empty part= dirs (the very under-count bug lookup_subject fixes)
-    src_lin = os.path.join(roots[0], LINEAGE_DIR, "_summary.json")
-    src_np = None
-    if os.path.isfile(src_lin):
-        with open(src_lin) as fh:
-            src_np = json.load(fh).get("num_partitions")
 
     t0 = time.time()
     rows = ray.get([compact_one.remote(p, fs, tmp)

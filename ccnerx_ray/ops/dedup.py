@@ -261,20 +261,6 @@ def minhash_dedup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                                num_buckets=width)
 
 
-def ngram_jaccard_verify(pairs_rows: list[dict], docs_by_id: dict,
-                         shingle_k: int = 3) -> list[dict]:
-    """Exact n-gram Jaccard for candidate pairs (small side — runs on the
-    driver or inside a map over pair batches with a broadcast doc dict)."""
-    out = []
-    for row in pairs_rows:
-        sa = {h for h in shingle_hashes(docs_by_id[row["id_a"]] or "", shingle_k)}
-        sb = {h for h in shingle_hashes(docs_by_id[row["id_b"]] or "", shingle_k)}
-        inter = len(sa & sb)
-        union = len(sa | sb) or 1
-        out.append(dict(row, jaccard=inter / union))
-    return out
-
-
 def shingle_set_rows(ds, text_col: str = "text", id_col: str = "doc_id",
                      shingle_k: int = 3):
     """→ ``(doc_id, sh, n_doc)``: one row per DISTINCT shingle hash per

@@ -183,16 +183,6 @@ def winnow_fingerprints(text: str, k: int = 8, w: int = 4) -> list[str]:
     return sorted(fps)
 
 
-def add_winnow_fingerprints(batch: pa.Table, text_col: str = "text",
-                            k: int = 8, w: int = 4) -> pa.Table:
-    """Append ``winnow`` (``list<string>``): the winnowed fingerprint set
-    per document."""
-    vals = [winnow_fingerprints(t or "", k, w)
-            for t in batch.column(text_col).to_pylist()]
-    return batch.append_column("winnow",
-                               pa.array(vals, pa.list_(pa.string())))
-
-
 # --------------------------------------------------------------- PII scrub
 # RE2-compatible patterns (no lookaround/backrefs) so the DuckDB oracle
 # applies the IDENTICAL regex; compiled with re.ASCII so Python's \d and

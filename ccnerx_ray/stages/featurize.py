@@ -104,21 +104,6 @@ class Featurizer:
         return pa.Table.from_pydict(out, schema=feature_schema())
 
 
-def featurized_dataset(segments, lexicon_words, cfg: PipelineConfig | None = None,
-                       concurrency: int = 4):
-    """segments Dataset → feature Dataset (actor pool; lexicon broadcast)."""
-    import ray
-
-    ref = ray.put([tuple(w) for w in lexicon_words])
-    return segments.map_batches(
-        Featurizer,
-        fn_constructor_kwargs={"lexicon_ref": ref, "cfg": cfg},
-        batch_format="pyarrow",
-        batch_size=(cfg or PipelineConfig()).featurize_batch_size,
-        concurrency=(1, concurrency),
-    )
-
-
 def corpus_matched_words(segments, lexicon_words, cfg: PipelineConfig | None = None,
                          concurrency: int = 4):
     """G1: corpus-wide matched-word set (``lexicon_factory.py:37-58``) —

@@ -273,6 +273,40 @@ def test_compacted_store_lookup_inherits_partitions(ray_session, tmp_path):
     assert lookup_subject(dest, "s2")[0]["obj"] == "o2"
 
 
+def test_chunks_disagreeing_on_partitions_raise(ray_session, tmp_path):
+    """A resumed chunked run with another ``--partitions`` leaves chunks
+    with different moduli: one subject lives in a different ``part=`` dir
+    per chunk. Lookup and compaction must refuse the store rather than
+    answer from one chunk's modulus and silently miss rows."""
+    import ray.data
+    from ccnerx_ray.io.store import (compact_store, lookup_subject,
+                                     store_num_partitions,
+                                     write_triple_store)
+
+    store = tmp_path / "mixed"
+    for i, p in enumerate((4, 8)):
+        write_triple_store(
+            ray.data.from_items([{"subj": "org/repo2", "pred": "p",
+                                  "obj": f"o{i}"}]),
+            str(store / f"chunk={i:05d}"), num_partitions=p)
+    with pytest.raises(ValueError, match="num_partitions"):
+        lookup_subject(str(store), "org/repo2")
+    with pytest.raises(ValueError, match="num_partitions"):
+        compact_store(str(store), str(tmp_path / "mixed_c"))
+    assert not (tmp_path / "mixed_c").exists()
+
+    # chunks that agree still answer from every chunk
+    same = tmp_path / "same"
+    for i in range(2):
+        write_triple_store(
+            ray.data.from_items([{"subj": "org/repo2", "pred": "p",
+                                  "obj": f"o{i}"}]),
+            str(same / f"chunk={i:05d}"), num_partitions=8)
+    assert store_num_partitions(str(same)) == 8
+    assert sorted(r["obj"] for r in lookup_subject(str(same), "org/repo2")) \
+        == ["o0", "o1"]
+
+
 def test_alias_pairs_semantic_catches_synonyms(ray_session):
     """The pluggable embedding-cosine scorer (A4 gap, VERDICT r2 #9)
     finds SYNONYM aliases the char-3-gram path cannot: 'begin'/'start'
