@@ -262,8 +262,7 @@ def scaling_worker(num_cpus: int) -> None:
     from ccnerx_ray.pipelines.kg import read_corpus, triples_dataset
 
     catalog = sorted(build_catalog(42).surface2label.items())
-    cfg = PipelineConfig(tagger_concurrency=max(2, num_cpus - 1),
-                         read_parallelism=num_cpus * 8)
+    cfg = PipelineConfig(read_parallelism=num_cpus * 8)
 
     # warm the cluster: spawn worker processes (a real long-lived cluster
     # has warm workers; the criterion measures job throughput, not
@@ -346,7 +345,7 @@ def lexicon_stress() -> None:
                                    "extra_lexicon_ref": lex_ref},
             batch_format="pyarrow",
             batch_size=cfg.featurize_batch_size,
-            concurrency=(1, cfg.tagger_concurrency))
+            concurrency=(1, max(2, NUM_CPUS - 1)))
         rows = tagged.count()
         walls.append(time.time() - t0)
     wall = min(walls)

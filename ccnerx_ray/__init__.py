@@ -11,10 +11,10 @@ Architecture (not a port — see SURVEY.md):
 
 * every per-record transform is a vectorized ``map_batches`` over zero-copy
   Arrow batches;
-* stateful stages (trie matcher, tagger model, tokenizer) are callable
-  classes run as actor pools (state built once per actor in ``__init__``);
-* wide steps (canonicalization clustering, dedup) are salted two-phase
-  ``groupby`` aggregations;
+* tag → link → emit runs as one fused ``map_batches`` task whose state
+  (trie matcher, tagger model, catalog) is built once per worker process;
+* wide steps (canonicalization clustering, dedup) are coarse
+  hash-partitioned ``groupby`` aggregations sized from the data;
 * small lookup sides (lexicon, entity catalog, vocab) are broadcast via
   ``ray.put`` — never shuffled;
 * output is partitioned Parquet with per-partition lineage sidecars for

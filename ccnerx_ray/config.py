@@ -60,14 +60,6 @@ class PipelineConfig:
     # --- execution knobs (sized for 32-CPU single node; scale by cluster) ---
     featurize_batch_size: int = 256  # map_batches rows per task (sorted by length inside)
     tagger_batch_size: int = 64      # decode chunk: tight L per sorted chunk
-    tagger_concurrency: int = 8      # actor-pool size for the tagger stage
-    tagger_num_gpus: float = 0.0     # GPUs reserved per tagger actor
-                                     # (SURVEY §2.4: A2 on a GPU pool —
-                                     # pair with backend="torch",
-                                     # device="cuda"); 0.0 = CPU pool,
-                                     # fractional values share one GPU
-                                     # across actors
-    encoder_num_gpus: float = 0.0    # GPUs per DocEncoder actor (A5)
     read_parallelism: int = -1       # -1 = let Ray decide
 
     # --- output ---

@@ -41,6 +41,7 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ccnerx_ray.ops.graph import encode_pair_key, symmetrize
 
@@ -275,7 +276,8 @@ def bfs_distances(edges, seeds, *, max_depth: int = 3,
     out_d = {"entity": _node_dtype(seeds, seed_col), "dist": "int64"}
     ded, sym, node_dt, ebytes = _dedup_sym(edges, src_col, dst_col,
                                            num_buckets)
-    out_d["entity"] = node_dt       # graph dtype wins when edges exist
+    if sym is not None:
+        out_d["entity"] = node_dt   # graph dtype wins when edges exist
 
     def as_entity(batch: pa.Table) -> pa.Table:
         return pa.table({"entity": batch.column(seed_col)})
@@ -408,8 +410,11 @@ def common_neighbor_pairs(edges, *, top_n: int = 25,
             "pk", encode_pair_key(batch.column("x"), batch.column("y")))
 
     def edge_pk(batch: pa.Table) -> pa.Table:
-        return pa.table({"pk": encode_pair_key(batch.column(src_col),
-                                               batch.column(dst_col))})
+        # canonical (min, max) key: counts rows have x < y, and an edge
+        # may be listed either way round
+        u, v = batch.column(src_col), batch.column(dst_col)
+        return pa.table({"pk": encode_pair_key(pc.min_element_wise(u, v),
+                                               pc.max_element_wise(u, v))})
 
     cand = adaptive_join(
         counts.map_batches(add_pk, batch_format="pyarrow"),
@@ -514,8 +519,6 @@ def node2vec_walks(edges, *, length: int = 4, w_return: int = 1,
     canonical edge-pair keys) that class each candidate by whether
     ``(prev, nbr)`` is an edge — all on Σ deg(frontier) candidate rows,
     node-scale. Walk state carries ``(walk_id, prev, cur)``."""
-    import pyarrow.compute as pc
-
     from ccnerx_ray.functions.grouping import (coarse_grouped,
                                                drop_duplicate_rows)
     from ccnerx_ray.ops.join import adaptive_join

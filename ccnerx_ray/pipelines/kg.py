@@ -1,10 +1,9 @@
 """The flagship KG-construction pipeline (SURVEY.md §3.1 RD shape):
 
 ``read_parquet(corpus)`` → ``map_batches(segment)`` →
-``map_batches(MentionTagger actor pool)`` → ``map_batches(LinkScorer actor
-pool)`` → ``map_batches(triple emitter)`` → partitioned triple store; the
-canonical entity table is then derived from the (small) store — the only
-shuffle in the whole job.
+``map_batches(fused tag + link + emit task)`` → partitioned triple store;
+the canonical entity table is then derived from the (small) store — the
+only shuffle in the whole job.
 
 ``update_kg`` refreshes a store from a new corpus: unchanged documents'
 triples carry forward through a BROADCAST semi join (the doc-scale
@@ -20,18 +19,16 @@ hard-coded.
 
 Every stage streams: no ``materialize()``/``take_all()`` on big data, the
 wide ``content`` column dies at segmentation, and the catalog is broadcast
-once via ``ray.put`` and read per actor — never re-shipped per batch and
-never shuffled.
+once via ``ray.put`` and read once per worker process — never re-shipped
+per batch and never shuffled.
 """
 
 from __future__ import annotations
 
 from ccnerx_ray.config import PipelineConfig
 from ccnerx_ray.stages.canonical import entities_from_triples
-from ccnerx_ray.stages.link import LinkScorer
 from ccnerx_ray.stages.segment import make_segmenter
-from ccnerx_ray.stages.tag import MentionTagger, explode_mentions
-from ccnerx_ray.stages.triples import make_triple_emitter
+from ccnerx_ray.stages.tag import make_fused_tagger_fn
 
 
 def read_corpus(paths, cfg: PipelineConfig = PipelineConfig()):
@@ -52,66 +49,25 @@ def _broadcast_catalog(catalog_pairs):
     return ray.put(list(catalog_pairs))
 
 
-def pool_resources(num_gpus: float) -> dict:
-    """Per-actor resource kwargs for a stateful ``map_batches`` pool
-    (VERDICT r4 #3): ``cfg.tagger_num_gpus`` / ``cfg.encoder_num_gpus``
-    reserve GPUs per actor — pair with ``backend="torch"``,
-    ``device="cuda"`` on the tagger. 0.0 (default) adds nothing, so CPU
-    deployments schedule exactly as before; fractional values share one
-    device across pool actors."""
-    return {"num_gpus": float(num_gpus)} if num_gpus else {}
-
-
 def segments_dataset(corpus, cfg: PipelineConfig = PipelineConfig()):
     return corpus.map_batches(make_segmenter(cfg), batch_format="pyarrow")
 
 
-def tagged_dataset(corpus, catalog_pairs, cfg: PipelineConfig = PipelineConfig()):
-    """corpus → nested, linked segment-mention rows (streaming)."""
+def _tagged(corpus, catalog_pairs, cfg: PipelineConfig, emit: str):
+    """The one tagging driver: broadcast the catalog once, segment, then
+    tag + link + emit in one task-based ``map_batches`` pass
+    (``make_fused_tagger_fn``; ``emit`` picks the output shape)."""
     ref = _broadcast_catalog(catalog_pairs)
-    segs = segments_dataset(corpus, cfg)
-    # autoscaling pools: a FIXED pool pair can reserve every CPU of a small
-    # cluster and starve the upstream read tasks (observed deadlock at 4
-    # CPUs); (1, n) lets the executor balance. The production path
-    # (triples_dataset(fused=True)) uses plain tasks instead.
-    tagged = segs.map_batches(
-        MentionTagger,
-        fn_constructor_kwargs={"catalog_ref": ref, "cfg": cfg},
+    return segments_dataset(corpus, cfg).map_batches(
+        make_fused_tagger_fn(ref, cfg, emit=emit),
         batch_format="pyarrow",
         batch_size=cfg.featurize_batch_size,
-        concurrency=(1, cfg.tagger_concurrency),
-        **pool_resources(cfg.tagger_num_gpus),
     )
-    linked = tagged.map_batches(
-        LinkScorer,
-        fn_constructor_kwargs={"catalog_ref": ref},
-        batch_format="pyarrow",
-        batch_size=cfg.featurize_batch_size,
-        concurrency=(1, max(2, cfg.tagger_concurrency // 2)),
-    )
-    return linked
 
 
-def triples_dataset(corpus, catalog_pairs, cfg: PipelineConfig = PipelineConfig(),
-                    fused: bool = True):
-    """corpus → triples Dataset (still streaming, unwritten).
-
-    ``fused=True`` (production): tag + link + emit in ONE actor pool —
-    fewer pools to spin up and no nested intermediates in the object
-    store. ``fused=False`` runs the three discrete stages (parity path);
-    outputs are identical (test-enforced)."""
-    if fused:
-        from ccnerx_ray.stages.tag import make_fused_tagger_fn
-
-        ref = _broadcast_catalog(catalog_pairs)
-        segs = segments_dataset(corpus, cfg)
-        return segs.map_batches(
-            make_fused_tagger_fn(ref, cfg),
-            batch_format="pyarrow",
-            batch_size=cfg.featurize_batch_size,
-        )
-    linked = tagged_dataset(corpus, catalog_pairs, cfg)
-    return linked.map_batches(make_triple_emitter(cfg), batch_format="pyarrow")
+def triples_dataset(corpus, catalog_pairs, cfg: PipelineConfig = PipelineConfig()):
+    """corpus → triples Dataset (still streaming, unwritten)."""
+    return _tagged(corpus, catalog_pairs, cfg, "triples")
 
 
 def mentions_dataset_join(corpus, lexicon_pairs, catalog_ds,
@@ -129,38 +85,16 @@ def mentions_dataset_join(corpus, lexicon_pairs, catalog_ds,
     bit-identical to ``mentions_dataset`` when both see the same
     catalog (test-enforced)."""
     from ccnerx_ray.stages.link import link_exploded_mentions
-    from ccnerx_ray.stages.tag import make_fused_tagger_fn
 
-    ref = _broadcast_catalog(lexicon_pairs)
-    segs = segments_dataset(corpus, cfg)
-    raw = segs.map_batches(
-        make_fused_tagger_fn(ref, cfg, emit="mentions_raw"),
-        batch_format="pyarrow",
-        batch_size=cfg.featurize_batch_size,
-    )
     return link_exploded_mentions(
-        raw, catalog_ds, max_label_num=max_label_num,
-        broadcast_bytes=broadcast_bytes,
+        _tagged(corpus, lexicon_pairs, cfg, "mentions_raw"), catalog_ds,
+        max_label_num=max_label_num, broadcast_bytes=broadcast_bytes,
         catalog_bytes_hint=catalog_bytes_hint)
 
 
-def mentions_dataset(corpus, catalog_pairs, cfg: PipelineConfig = PipelineConfig(),
-                     fused: bool = True):
-    """corpus → flat linked mention table (M5 output, for analysis paths).
-    ``fused=True``: one task-based pass (tag+link+explode per worker);
-    ``fused=False``: discrete actor-pool stages (parity path)."""
-    if fused:
-        from ccnerx_ray.stages.tag import make_fused_tagger_fn
-
-        ref = _broadcast_catalog(catalog_pairs)
-        segs = segments_dataset(corpus, cfg)
-        return segs.map_batches(
-            make_fused_tagger_fn(ref, cfg, emit="mentions"),
-            batch_format="pyarrow",
-            batch_size=cfg.featurize_batch_size,
-        )
-    linked = tagged_dataset(corpus, catalog_pairs, cfg)
-    return linked.map_batches(explode_mentions, batch_format="pyarrow")
+def mentions_dataset(corpus, catalog_pairs, cfg: PipelineConfig = PipelineConfig()):
+    """corpus → flat linked mention table (M5 output, for analysis paths)."""
+    return _tagged(corpus, catalog_pairs, cfg, "mentions")
 
 
 def structural_triples_dataset(corpus):
@@ -235,10 +169,11 @@ def run_kg(corpus_paths, catalog_pairs, out_dir: str,
     return summary
 
 
-def _write_entities(store_dir: str, store_bytes: int) -> str:
+def _write_entities(store_dir: str, store_bytes: int | None) -> str:
     """Derive the canonical entity table from a freshly written store and
     write it next to the store; the shuffle is sized from the store's
-    written bytes. Returns the entity table's path."""
+    written bytes (``None``: the rule's default). Returns the entity
+    table's path."""
     from ccnerx_ray.io.store import read_triple_store
 
     store = read_triple_store(

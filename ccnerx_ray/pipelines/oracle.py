@@ -40,7 +40,7 @@ def oracle_triples(corpus: pa.Table, catalog_pairs,
     out: set[tuple[str, str, str]] = set()
     rows = corpus.to_pylist()
     for row in rows:
-        if row.get("content") is None or row.get("repo") is None:
+        if any(row.get(c) is None for c in ("repo", "path", "commit", "content")):
             continue
         sha = sha256_hex(row["content"])
         for seg_id, toks in enumerate(segment_tokens(row["content"], max_tokens)):

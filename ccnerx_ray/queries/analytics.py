@@ -1747,14 +1747,7 @@ TESTDATA_CATALOG: list[tuple[tuple[str, ...], str]] = sorted({
 })
 
 def kg_cfg() -> PipelineConfig:
-    """Tagger actor-pool sizing follows the session's CPU count (the pool
-    is the hot stage; a fixed size would throttle scaling runs)."""
-    import ray
-    n = 8
-    if ray.is_initialized():
-        n = int(ray.cluster_resources().get("CPU", 8))
-    return PipelineConfig(tagger_concurrency=max(2, n - 1),
-                          output_partitions=8)
+    return PipelineConfig(output_partitions=8)
 
 
 def docs_to_corpus(batch: pa.Table) -> pa.Table:
@@ -2181,8 +2174,11 @@ def q_kg_triples_ckpt(sf_dir: str):
     ``kg_triples`` and shares its closed-form oracle — proving the
     weight-loading path changes nothing but the weight SOURCE. A GPU
     deployment swaps ``backend="torch"`` + ``num_gpus=1`` on the same
-    call (torch adapter reads the same npz; skip-if-no-torch tested)."""
+    call (torch adapter reads the same npz; skip-if-no-torch tested).
+    The fixed pool is sized from the session's CPU count."""
     import os
+
+    import ray
 
     from ccnerx_ray.model.tagger import save_checkpoint
     from ccnerx_ray.pipelines.kg import (_broadcast_catalog,
@@ -2196,7 +2192,7 @@ def q_kg_triples_ckpt(sf_dir: str):
     corpus = corpus_from_documents(sf_dir)
     ref = _broadcast_catalog(TESTDATA_CATALOG)
     segs = segments_dataset(corpus, cfg)
-    from ccnerx_ray.pipelines.kg import pool_resources
+    n = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     return segs.map_batches(
         MentionTagger,
         fn_constructor_kwargs={"catalog_ref": ref, "cfg": cfg,
@@ -2207,8 +2203,7 @@ def q_kg_triples_ckpt(sf_dir: str):
         # fixed pool (production shape): all actors start and load the
         # checkpoint immediately; the autoscaling (1, N) ramp serialized
         # the per-actor npz loads behind demand and cost ~2x wall time
-        concurrency=cfg.tagger_concurrency,
-        **pool_resources(cfg.tagger_num_gpus),
+        concurrency=max(2, n - 1),
     )
 
 

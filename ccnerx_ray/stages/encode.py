@@ -101,14 +101,20 @@ class DocEncoder:
         })
 
 
+def pool_resources(num_gpus: float) -> dict:
+    """Per-actor resource kwargs for a stateful ``map_batches`` pool: 0.0
+    adds nothing, so CPU deployments schedule exactly as before;
+    fractional values share one device across pool actors."""
+    return {"num_gpus": float(num_gpus)} if num_gpus else {}
+
+
 def doc_embeddings(ds, dim: int = 32, text_col: str = "text",
                    id_col: str = "doc_id", concurrency: int = 4,
                    batch_size: int = 512, num_gpus: float = 0.0):
     """The embeddings-producing pipeline: documents → (id, embedding,
     n_tokens) via an actor pool of :class:`DocEncoder`. ``num_gpus``
-    reserves GPUs per encoder actor (``cfg.encoder_num_gpus`` — the A5
-    GPU-pool slot, SURVEY §2.4); 0.0 = CPU pool, scheduling unchanged."""
-    from ccnerx_ray.pipelines.kg import pool_resources
+    reserves GPUs per encoder actor (the A5 GPU-pool slot, SURVEY §2.4);
+    0.0 = CPU pool, scheduling unchanged."""
     return ds.map_batches(DocEncoder,
                           fn_constructor_kwargs={"dim": dim,
                                                  "text_col": text_col,

@@ -42,14 +42,11 @@ from ccnerx_ray.functions.tokenize import normalize_surface
 
 
 class LinkScorer:
-    """Actor-pool callable; catalog dicts built once per actor. Operates on
+    """Batch callable; catalog dicts built once per instance. Operates on
     the nested segment-mention rows (list columns) from MentionTagger."""
 
     def __init__(self, catalog_pairs: list[tuple[tuple[str, ...], str]] | None = None,
-                 catalog_ref=None, max_label_num: int = 3):
-        if catalog_ref is not None:
-            import ray
-            catalog_pairs = ray.get(catalog_ref)
+                 max_label_num: int = 3):
         pairs = [(tuple(s), l) for s, l in (catalog_pairs or [])]
         self.max_label_num = max_label_num
         by_surface: dict[str, list[str]] = {}

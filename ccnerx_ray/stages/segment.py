@@ -47,7 +47,7 @@ def make_segmenter(cfg: PipelineConfig):
         commits = batch.column("commit").to_pylist()
         langs = batch.column("lang").to_pylist()
         for i, content in enumerate(contents):
-            if content is None or repos[i] is None:
+            if None in (content, repos[i], paths[i], commits[i]):
                 continue  # quarantine-equivalent: invalid rows are skipped, not crashed
             sha = sha256_hex(content)
             for seg_id, toks in enumerate(segment_tokens(content, max_tokens)):

@@ -1,13 +1,14 @@
-"""Mention-tagging actor stage: segments → per-segment nested mention rows.
+"""Mention-tagging stage: segments → per-segment nested mention rows.
 
-The hot stateful stage of the KG pipeline. One actor holds the trie, the
-entity catalog and the tagger weights (built once in ``__init__`` — the
-actor-pool analogue of the reference predictor object, ``predicter.py:17-83``);
-``__call__`` runs per Arrow batch: emissions + viterbi decode
-(``crf.py:89-134`` semantics) + BIOES span extraction (``label.py:11-44``).
+The hot stateful stage of the KG pipeline. One ``MentionTagger`` holds the
+trie, the entity catalog and the tagger weights (built once per worker
+process by ``make_fused_tagger_fn`` — the analogue of the reference
+predictor object, ``predicter.py:17-83``); ``__call__`` runs per Arrow
+batch: emissions + viterbi decode (``crf.py:89-134`` semantics) + BIOES
+span extraction (``label.py:11-44``).
 
 Design note (deviation from a literal stage-per-step translation):
-featurize → tag → span-extract are fused into one actor so the wide
+featurize → tag → span-extract are fused into one call so the wide
 ``matched_word_ids[L, W]`` intermediate never crosses the object store
 (SURVEY.md §7 "wide featurized rows ... project aggressively").
 
@@ -83,13 +84,13 @@ def extract_mention_rows(tokens: list[str], tags: list[str]) -> list[tuple]:
 
 
 class MentionTagger:
-    """Actor-pool callable: Arrow segment batch → nested mention batch.
+    """Batch callable: Arrow segment batch → nested mention batch.
 
-    ``emit="segments"`` (default) returns nested mention rows for the
-    staged pipeline; ``emit="triples"`` FUSES link scoring and triple
-    emission into this actor (one pool instead of three stages — the
-    production path: fewer pools to spin up, no nested intermediates in
-    the object store; equality with the staged path is test-enforced)."""
+    ``emit="segments"`` (default) returns the nested mention rows;
+    ``emit="triples"`` / ``"mentions"`` FUSE link scoring and triple
+    emission / mention flattening into the same call (no nested
+    intermediates in the object store; equality with the three stages
+    composed one after another is test-enforced)."""
 
     def __init__(self, catalog_pairs: list[tuple[tuple[str, ...], str]] | None = None,
                  cfg: PipelineConfig | None = None, catalog_ref=None,
@@ -97,7 +98,7 @@ class MentionTagger:
                  device: str = "cpu", checkpoint_path: str | None = None,
                  extra_lexicon_ref=None):
         """``catalog_pairs`` inline for tests; ``catalog_ref`` a ``ray.put``
-        handle for production (broadcast once, read per actor).
+        handle for production (broadcast once, read per instance).
         ``backend="torch"`` swaps in the torch emission model
         (:mod:`ccnerx_ray.model.torch_adapter`) — pair it with
         ``map_batches(…, num_gpus=1)`` and ``device="cuda"`` for the GPU
@@ -196,9 +197,7 @@ def make_fused_tagger_fn(catalog_ref, cfg: PipelineConfig, emit: str = "triples"
     (seeded numpy + a small trie — no GPU weights), and task scheduling
     uses every CPU in the cluster immediately, where a fixed actor pool
     pays spin-up and pins parallelism to the pool size (measured: 2.2×
-    faster end-to-end at 32 CPUs on the scaling corpus). A GPU tagger must
-    use the actor-pool path (``MentionTagger`` via ``map_batches(cls,
-    num_gpus=1)``) — state there is NOT rebuildable per process."""
+    faster end-to-end at 32 CPUs on the scaling corpus)."""
     key = (catalog_ref.hex() if hasattr(catalog_ref, "hex") else id(catalog_ref),
            cfg, emit)
 

@@ -89,8 +89,7 @@ def main() -> int:
         catalog = sorted(build_catalog(42).surface2label.items())
 
     n = int(ray.cluster_resources().get("CPU", 8))
-    cfg = PipelineConfig(tagger_concurrency=max(2, n - 1),
-                         read_parallelism=n * 8,
+    cfg = PipelineConfig(read_parallelism=n * 8,
                          output_partitions=args.partitions)
 
     t0 = time.time()
@@ -119,15 +118,11 @@ def main() -> int:
         if summary["chunks_run"]:
             import shutil
 
-            from ccnerx_ray.io.store import read_triple_store
-            from ccnerx_ray.stages.canonical import entities_from_triples
-            ents_path = args.output.rstrip("/") + "_entities"
-            shutil.rmtree(ents_path, ignore_errors=True)
-            store = read_triple_store(
-                args.output,
-                columns=["subj", "pred", "norm_key", "surface", "label"])
-            entities_from_triples(store).write_parquet(ents_path)
-            summary["entities_path"] = ents_path
+            from ccnerx_ray.pipelines.kg import _write_entities
+            shutil.rmtree(args.output.rstrip("/") + "_entities",
+                          ignore_errors=True)
+            # a chunked store has no run-level summary to size from
+            summary["entities_path"] = _write_entities(args.output, None)
     if args.compact and not args.no_resume:
         import shutil
 

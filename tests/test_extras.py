@@ -1,32 +1,10 @@
-"""Auto-tagging catalog pipeline (§3.3), sampling ops (T3-T6), span
-augmentation (K5), grouping primitive."""
+"""Sampling ops (T3-T6), span augmentation (K5), grouping primitive."""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
 import pytest
-
-from ccnerx_ray.config import PipelineConfig
-from ccnerx_ray.corpus import build_catalog
-
-
-def test_autotag_lexicon_recovers_catalog_labels(ray_session):
-    from ccnerx_ray.pipelines.autotag import autotag_lexicon
-
-    cat = sorted(build_catalog(13).surface2label.items())
-    words = [w for w, _ in cat[:40]]
-    out = autotag_lexicon(words, cat,
-                          cfg=PipelineConfig(tagger_concurrency=2)).take_all()
-    assert len(out) == 40
-    got = {tuple(r["word"]): r["label"] for r in out}
-    want = dict(cat[:40])
-    agree = sum(1 for w in got if got[w] == want[tuple(w)])
-    # lexicon fusion makes catalog words tag as their own label
-    assert agree / len(got) >= 0.9, agree
-    # tag sequences are valid BIOES for the word length
-    for r in out:
-        assert len(r["tags"]) == len(r["word"])
 
 
 def test_sampling_deterministic(ray_session):

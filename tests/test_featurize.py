@@ -61,35 +61,47 @@ def test_featurizer_truncation():
     assert sum(out["attention_mask"]) == CFG.max_seq_length  # truncated + CLS/SEP
 
 
-def test_fused_equals_staged(ray_session, tmp_path):
-    """The one-pool production path and the three-stage parity path emit
-    identical triple sets."""
-    from ccnerx_ray.corpus import build_catalog, write_corpus
-    from ccnerx_ray.pipelines.kg import read_corpus, triples_dataset
+def _staged(corpus: pa.Table, cat, cfg, last) -> pa.Table:
+    """The three stages composed in-process, one after another: segment →
+    tag → link, then ``last`` (triple emitter or mention flattener)."""
+    from ccnerx_ray.stages.link import LinkScorer
+    from ccnerx_ray.stages.tag import MentionTagger
 
-    cfg = PipelineConfig(tagger_concurrency=2)
+    nested = MentionTagger(catalog_pairs=cat, cfg=cfg)(
+        make_segmenter(cfg)(corpus))
+    return last(LinkScorer(catalog_pairs=cat)(nested))
+
+
+def test_fused_equals_staged(ray_session, tmp_path):
+    """The fused task path and the three stages composed in-process emit
+    identical triple sets."""
+    from ccnerx_ray.corpus import build_catalog, generate_corpus, write_corpus
+    from ccnerx_ray.pipelines.kg import read_corpus, triples_dataset
+    from ccnerx_ray.stages.triples import make_triple_emitter
+
+    cfg = PipelineConfig()
     d = write_corpus(str(tmp_path / "c"), 20, seed=11, num_files=2)
     cat = sorted(build_catalog(11).surface2label.items())
     fused = {(r["subj"], r["pred"], r["obj"])
-             for r in triples_dataset(read_corpus(d, cfg), cat, cfg,
-                                      fused=True).take_all()}
+             for r in triples_dataset(read_corpus(d, cfg), cat, cfg).take_all()}
     staged = {(r["subj"], r["pred"], r["obj"])
-              for r in triples_dataset(read_corpus(d, cfg), cat, cfg,
-                                       fused=False).take_all()}
+              for r in _staged(generate_corpus(20, seed=11), cat, cfg,
+                               make_triple_emitter(cfg)).to_pylist()}
     assert fused == staged and len(fused) > 0
 
 
 def test_fused_mentions_equals_staged(ray_session, tmp_path):
-    from ccnerx_ray.corpus import build_catalog, write_corpus
+    from ccnerx_ray.corpus import build_catalog, generate_corpus, write_corpus
     from ccnerx_ray.pipelines.kg import mentions_dataset, read_corpus
+    from ccnerx_ray.stages.tag import explode_mentions
 
-    cfg = PipelineConfig(tagger_concurrency=2)
+    cfg = PipelineConfig()
     d = write_corpus(str(tmp_path / "c"), 20, seed=12, num_files=2)
     cat = sorted(build_catalog(12).surface2label.items())
     key = lambda r: (r["content_sha256"], r["seg_id"], r["start"], r["end"],
                      r["surface"], r["linked_label"])
     fused = sorted(key(r) for r in mentions_dataset(
-        read_corpus(d, cfg), cat, cfg, fused=True).take_all())
-    staged = sorted(key(r) for r in mentions_dataset(
-        read_corpus(d, cfg), cat, cfg, fused=False).take_all())
+        read_corpus(d, cfg), cat, cfg).take_all())
+    staged = sorted(key(r) for r in _staged(
+        generate_corpus(20, seed=12), cat, cfg, explode_mentions).to_pylist())
     assert fused == staged and len(fused) > 0

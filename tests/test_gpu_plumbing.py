@@ -1,51 +1,16 @@
-"""GPU plumbing for the stateful actor-pool stages (VERDICT r4 #3):
-``cfg.tagger_num_gpus`` / ``cfg.encoder_num_gpus`` must reach the
-``map_batches`` call, and the 0.0 default must add NO resource kwargs so
-CPU scheduling is bit-identical to before."""
-
-import pytest
+"""GPU plumbing for the DocEncoder actor pool (VERDICT r4 #3):
+``doc_embeddings(num_gpus=...)`` must reach the ``map_batches`` call, and
+the 0.0 default must add NO resource kwargs so CPU scheduling is
+bit-identical to before."""
 
 
 def test_pool_resources_contract():
-    from ccnerx_ray.pipelines.kg import pool_resources
+    from ccnerx_ray.stages.encode import pool_resources
 
     assert pool_resources(0.0) == {}
     assert pool_resources(0) == {}
     assert pool_resources(1) == {"num_gpus": 1.0}
     assert pool_resources(0.25) == {"num_gpus": 0.25}
-
-
-def test_tagger_pool_receives_num_gpus(ray_session, monkeypatch):
-    """The tagger pool's map_batches call carries num_gpus exactly when
-    configured (spied — a GPU-less box can't schedule the real pool)."""
-    import ray.data
-
-    from ccnerx_ray.config import PipelineConfig
-    from ccnerx_ray.pipelines.kg import tagged_dataset
-
-    corpus = ray.data.from_items([
-        {"repo": "r", "path": "p", "commit": "c", "lang": "py",
-         "content": "spark filter"}])
-
-    calls = []
-    real = ray.data.Dataset.map_batches
-
-    def spy(self, fn, **kw):
-        calls.append((getattr(fn, "__name__", str(fn)), kw))
-        return real(self, fn, **kw)
-
-    monkeypatch.setattr(ray.data.Dataset, "map_batches", spy)
-
-    cfg = PipelineConfig(tagger_num_gpus=0.5, tagger_concurrency=2)
-    tagged_dataset(corpus, [(("spark",), "LIB")], cfg)
-    tagger_calls = [kw for name, kw in calls if name == "MentionTagger"]
-    assert tagger_calls and tagger_calls[0]["num_gpus"] == 0.5
-
-    calls.clear()
-    cfg0 = PipelineConfig(tagger_concurrency=2)
-    tagged_dataset(corpus, [(("spark",), "LIB")], cfg0)
-    tagger_calls = [kw for name, kw in calls if name == "MentionTagger"]
-    assert tagger_calls and "num_gpus" not in tagger_calls[0]
 
 
 def test_encoder_pool_receives_num_gpus(ray_session, monkeypatch):
@@ -67,22 +32,3 @@ def test_encoder_pool_receives_num_gpus(ray_session, monkeypatch):
     calls.clear()
     doc_embeddings(ds)
     assert "num_gpus" not in calls[-1]
-
-
-def test_tagger_gpu_pool_runs_when_gpu_present(ray_session):
-    """Full tagging through a GPU-reserving pool — only on a box that
-    actually has one (CI for the cluster deployment knob)."""
-    import ray
-    import ray.data
-
-    if not ray.cluster_resources().get("GPU", 0):
-        pytest.skip("no GPU in this Ray cluster")
-    from ccnerx_ray.config import PipelineConfig
-    from ccnerx_ray.pipelines.kg import tagged_dataset
-
-    corpus = ray.data.from_items([
-        {"repo": "r", "path": "p", "commit": "c", "lang": "py",
-         "content": "spark filter"}])
-    cfg = PipelineConfig(tagger_num_gpus=1.0, tagger_concurrency=1)
-    out = tagged_dataset(corpus, [(("spark",), "LIB")], cfg).to_pandas()
-    assert len(out) == 1

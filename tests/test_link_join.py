@@ -44,7 +44,7 @@ def _mention_frames(broadcast_bytes):
                                         link_exploded_mentions)
     from ccnerx_ray.stages.tag import MentionTagger, explode_mentions
 
-    cfg = PipelineConfig(tagger_concurrency=2)
+    cfg = PipelineConfig()
     corpus = ray.data.from_items(DOCS)
     segs = segments_dataset(corpus, cfg)
     ref = _broadcast_catalog(LEXICON)

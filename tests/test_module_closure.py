@@ -28,7 +28,7 @@ ENTRY_POINTS = ("jobs/*.py", "perfbench/*.py", "bench.py",
 TEST_ONLY = frozenset({
     "ccnerx_ray.functions.metrics", "ccnerx_ray.io.readers",
     "ccnerx_ray.io.writers", "ccnerx_ray.ops.augment",
-    "ccnerx_ray.pipelines.autotag", "ccnerx_ray.stages.featurize",
+    "ccnerx_ray.stages.featurize",
 })
 
 

@@ -17,7 +17,7 @@ from ccnerx_ray.pipelines.kg import (mentions_dataset, read_corpus, run_kg,
                                      triples_dataset)
 from ccnerx_ray.pipelines.oracle import oracle_triples, prf
 
-CFG = PipelineConfig(tagger_concurrency=2, output_partitions=4)
+CFG = PipelineConfig(output_partitions=4)
 N_ROWS = 40
 SEED = 42
 
@@ -74,6 +74,28 @@ def test_run_kg_store_and_entities(ray_session, corpus_dir, catalog_pairs, tmp_p
     for row in ents.to_pylist()[:10]:
         assert row["entity_id"] == hashlib.sha256(
             row["norm_key"].encode()).hexdigest()[:16]
+
+
+def test_run_kg_skips_rows_with_null_provenance(ray_session, catalog_pairs,
+                                                tmp_path):
+    """A corpus row with a null path or commit is invalid like a null
+    repo or content: skipped by the job and by the oracle alike, never
+    crashing the tag task and never written as ``...:None@...``."""
+    table = generate_corpus(12, seed=SEED)
+    rows = table.to_pylist()
+    rows[1]["path"] = None
+    rows[4]["commit"] = None
+    d = tmp_path / "nulls"
+    d.mkdir()
+    bad = pa.Table.from_pylist(rows, schema=table.schema)
+    pq.write_table(bad, str(d / "part-0.parquet"))
+    out = str(tmp_path / "store")
+    run_kg(str(d), catalog_pairs, out, CFG, build_entities=False)
+    from ccnerx_ray.io.store import read_triple_store
+    got = {(r["subj"], r["pred"], r["obj"])
+           for r in read_triple_store(out).take_all()}
+    assert got and got == oracle_triples(bad, catalog_pairs, CFG)
+    assert not any("None@" in o for _, _, o in got)
 
 
 def test_resumable_chunks(ray_session, corpus_dir, catalog_pairs, tmp_path):

@@ -14,7 +14,7 @@ from ccnerx_ray.stages.tag import (MentionTagger, SEGMENT_MENTIONS_SCHEMA,
                                    explode_mentions)
 from ccnerx_ray.stages.triples import make_triple_emitter, segment_triples
 
-CFG = PipelineConfig(tagger_concurrency=2)
+CFG = PipelineConfig()
 CATALOG = [(("parse_foo",), "FUNC"), (("Widget",), "CLASS"),
            (("libz", ".", "parse_foo"), "FUNC")]
 

@@ -22,7 +22,7 @@ from ccnerx_ray.corpus import (build_catalog, expected_structure_store,
 from ccnerx_ray.ops.code import file_structure_triples, structure_store_stats
 from ccnerx_ray.stages.triples import TRIPLE_SCHEMA
 
-CFG = PipelineConfig(tagger_concurrency=2, output_partitions=4)
+CFG = PipelineConfig(output_partitions=4)
 SEED = 42
 N_ROWS = 40
 

@@ -14,7 +14,7 @@ from ccnerx_ray.config import PipelineConfig
 from ccnerx_ray.stages.segment import make_segmenter
 from ccnerx_ray.stages.tag import MentionTagger
 
-CFG = PipelineConfig(tagger_concurrency=2)
+CFG = PipelineConfig()
 CATALOG = [(("parse_foo",), "FUNC"), (("Widget",), "CLASS")]
 
 
@@ -79,7 +79,7 @@ def test_torch_lebert_fusion_parity_with_numpy(tmp_path):
     exactly on the fixture corpus."""
     from ccnerx_ray.model.tagger import save_checkpoint
 
-    cfg = PipelineConfig(tagger_concurrency=2, fusion="lebert")
+    cfg = PipelineConfig(fusion="lebert")
     ckpt = str(tmp_path / "tagger.npz")
     save_checkpoint(ckpt, cfg)
     seg = make_segmenter(cfg)(_corpus_batch())

@@ -171,6 +171,16 @@ def test_bfs_partitioning_invariance(ray_session):
         b.sort_values("entity").reset_index(drop=True))
 
 
+def test_bfs_empty_keeps_seed_dtype(ray_session):
+    import ray.data
+    empty = ray.data.from_arrow(pa.table(
+        {"u": pa.array([], pa.string()), "v": pa.array([], pa.string())}))
+    seeds = ray.data.from_arrow(pa.table({"entity": pa.array([], pa.int64())}))
+    got = bfs_distances(empty, seeds, max_depth=2)
+    assert got.count() == 0
+    assert got.schema().base_schema.field("entity").type == pa.int64()
+
+
 def test_cn_matches_reference(ray_session):
     got = common_neighbor_pairs(_edges_ds(EDGES), top_n=25).to_pandas()
     assert list(map(tuple, got.itertuples(index=False))) == \
@@ -204,6 +214,14 @@ def test_cn_empty(ray_session):
         {"u": pa.array([], pa.string()), "v": pa.array([], pa.string())}))
     got = common_neighbor_pairs(empty, top_n=5)
     assert got.count() == 0
+
+
+def test_cn_reversed_edges_stay_adjacent(ray_session):
+    """An edge listed as (v, u) with v > u is still an edge: its pair must
+    not leak into the non-adjacent ranking."""
+    rev = [(v, u) for u, v in EDGES]
+    got = common_neighbor_pairs(_edges_ds(rev), top_n=25).to_pandas()
+    assert list(map(tuple, got.itertuples(index=False))) == _ref_cn(EDGES, 25)
 
 
 @pytest.mark.parametrize("dup", [1, 3])
