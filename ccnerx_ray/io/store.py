@@ -7,15 +7,20 @@ the north rule requires: Parquet partitioned by ``part = hash(subj) % P``
 ``_lineage/part={k}.json`` sidecar per partition recording row counts,
 bytes, throughput and the engine version — the resume ledger.
 
-Writes are atomic at the run-chunk level (temp dir + ``os.rename``), so a
-killed run never leaves a half-written chunk that a resume would
-double-count (SURVEY.md §7 "checkpoint correctness").
+Every store is published atomically: :func:`published` stages the data
+and its lineage in a hidden sibling directory and makes them visible with
+one rename, and readers take only roots whose lineage summary records
+``num_partitions`` (:func:`published_roots`). A killed run never
+leaves a store that a reader would accept or a resume would double-count
+(SURVEY.md §7 "checkpoint correctness").
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import shutil
 import time
 
 import pyarrow as pa
@@ -39,35 +44,61 @@ def add_part_column(num_partitions: int):
     return _add
 
 
+def refuse_existing(*dirs: str) -> None:
+    """Raise ``FileExistsError`` for any of ``dirs`` that already holds
+    files: writing into it would append duplicate rows."""
+    for d in dirs:
+        if os.path.isdir(d) and os.listdir(d):
+            raise FileExistsError(
+                f"{d} already holds a store; a second write would append "
+                "duplicate rows. Use run_resumable for incremental runs or "
+                "point at a fresh directory.")
+
+
+@contextlib.contextmanager
+def published(out_dir: str):
+    """The one way a store becomes visible. Yields a stage directory
+    ``.{name}.tmp-{pid}`` next to ``out_dir``; a clean exit renames it onto
+    ``out_dir`` in one rename, a raise removes it. The leading ``.`` keeps
+    the stage out of ``ray.data.read_parquet`` (which skips ``.``/``_``
+    prefixes) and out of ``chunk=`` walks."""
+    refuse_existing(out_dir)
+    parent, name = os.path.split(os.path.abspath(out_dir))
+    stage = os.path.join(parent, f".{name}.tmp-{os.getpid()}")
+    shutil.rmtree(stage, ignore_errors=True)
+    os.makedirs(stage)
+    try:
+        yield stage
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+    os.rename(stage, out_dir)   # replaces an empty out_dir
+
+
 def write_triple_store(triples, out_dir: str, num_partitions: int = 16,
                        lineage_extra: dict | None = None,
                        min_rows_per_file: int | None = None) -> dict:
     """Write a triples Dataset as ``out_dir/part={k}/*.parquet`` with
-    lineage sidecars. Returns the run-level lineage summary.
+    lineage sidecars, published only once both are written. Returns the
+    run-level lineage summary.
 
     Each write task leaves one file per partition it holds rows for.
     ``min_rows_per_file`` (``Dataset.write_parquet``'s bundling target)
     gathers blocks into tasks of at least that many rows; ``None`` keeps
     one task per upstream block."""
     t0 = time.time()
-    if os.path.isdir(out_dir) and any(
-            d.startswith("part=") for d in os.listdir(out_dir)):
-        raise FileExistsError(
-            f"{out_dir} already holds a triple store; a second write would "
-            "append duplicate rows. Use run_resumable for incremental runs "
-            "or point at a fresh directory.")
-    os.makedirs(out_dir, exist_ok=True)
-    ds = triples.map_batches(add_part_column(num_partitions),
-                             batch_format="pyarrow")
-    ds.write_parquet(out_dir, partition_cols=["part"],
-                     min_rows_per_file=min_rows_per_file)
-    wall = time.time() - t0
-    # num_partitions goes into the lineage summary: write_parquet only
-    # creates directories for NON-EMPTY partitions, so counting part= dirs
-    # under-counts P and breaks the lookup modulus (ADVICE r1).
-    extra = dict(lineage_extra or {})
-    extra["num_partitions"] = num_partitions
-    summary = write_lineage(out_dir, wall, extra)
+    with published(out_dir) as stage:
+        ds = triples.map_batches(add_part_column(num_partitions),
+                                 batch_format="pyarrow")
+        ds.write_parquet(stage, partition_cols=["part"],
+                         min_rows_per_file=min_rows_per_file)
+        wall = time.time() - t0
+        # num_partitions goes into the lineage summary: write_parquet only
+        # creates directories for NON-EMPTY partitions, so counting part=
+        # dirs under-counts P and breaks the lookup modulus (ADVICE r1).
+        extra = dict(lineage_extra or {})
+        extra["num_partitions"] = num_partitions
+        summary = write_lineage(stage, wall, extra)
     return summary
 
 
@@ -89,14 +120,10 @@ def write_lineage(out_dir: str, wall_s: float,
         rows = 0
         nbytes = 0
         files = []
-        for f in sorted(os.listdir(pdir)):
-            if not f.endswith(".parquet"):
-                continue
-            fp = os.path.join(pdir, f)
-            meta = pq.read_metadata(fp)
-            rows += meta.num_rows
+        for fp in parquet_files(pdir):
+            rows += pq.read_metadata(fp).num_rows
             nbytes += os.path.getsize(fp)
-            files.append(f)
+            files.append(os.path.basename(fp))
         rec = {"partition": name, "rows": rows, "bytes": nbytes,
                "files": files, "engine_version": __version__,
                "wall_s_run": round(wall_s, 3)}
@@ -125,40 +152,51 @@ def write_lineage(out_dir: str, wall_s: float,
     return summary
 
 
-def store_summary(store_dir: str) -> dict:
-    """The run-level lineage summary of a store (``rows``, ``bytes``,
-    ``num_partitions`` …) — ``{}`` when it has none (a chunked store)."""
-    path = os.path.join(store_dir, LINEAGE_DIR, "_summary.json")
-    if not os.path.isfile(path):
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
+def parquet_files(part_dir: str) -> list[str]:
+    """The Parquet files of one ``part=`` directory ([] if it is absent:
+    write_parquet skips empty partitions)."""
+    if not os.path.isdir(part_dir):
+        return []
+    return [os.path.join(part_dir, f) for f in sorted(os.listdir(part_dir))
+            if f.endswith(".parquet")]
+
+
+def published_roots(store_dir: str) -> list[tuple[str, dict]]:
+    """A store's published roots (its ``chunk=`` directories, or the store
+    itself), each with its lineage summary. Every reader goes through here,
+    reading each summary once.
+
+    Raises ``ValueError`` for a root whose ``_lineage/_summary.json`` lacks
+    ``num_partitions`` (a run that died before its lineage, or no store),
+    and when chunks disagree on it: chunks written with different ``P`` (a
+    resume with another ``--partitions``) put one subject in different
+    ``part=`` dirs, so any single modulus would silently miss rows."""
+    chunks = sorted(d for d in os.listdir(store_dir) if d.startswith("chunk="))
+    roots = []
+    for root in [os.path.join(store_dir, c) for c in chunks] or [store_dir]:
+        path = os.path.join(root, LINEAGE_DIR, "_summary.json")
+        summary = {}
+        if os.path.isfile(path):
+            with open(path) as fh:
+                summary = json.load(fh)
+        if not summary.get("num_partitions"):
+            raise ValueError(
+                f"{root} has no lineage summary with num_partitions: it was "
+                "never published (a killed run?); rebuild the store")
+        roots.append((root, summary))
+    moduli = {os.path.basename(r): s["num_partitions"] for r, s in roots}
+    if len(set(moduli.values())) > 1:
+        raise ValueError(
+            f"chunks of {store_dir} disagree on num_partitions {moduli}; "
+            "rebuild the store with one partition count")
+    return roots
 
 
 def store_num_partitions(store_dir: str) -> int:
     """The ``part = stable_hash64(subj) % P`` modulus of a store, from its
     lineage — counting ``part=`` dirs is wrong when some partitions were
-    empty (write_parquet skips them) and would silently shift the modulus.
-
-    In a chunked store every chunk's summary is read and all must agree:
-    chunks written with different ``P`` (a resume with another
-    ``--partitions``) put one subject in different ``part=`` dirs, so any
-    single modulus would silently miss rows — raises ``ValueError``.
-    Falls back to the summary's ``partitions`` (stores written before
-    ``num_partitions`` was recorded), then to counting ``part=`` dirs."""
-    entries = os.listdir(store_dir)
-    roots = sorted(d for d in entries if d.startswith("chunk=")) or ["."]
-    summaries = [store_summary(os.path.join(store_dir, r)) for r in roots]
-    recorded = {r: s["num_partitions"] for r, s in zip(roots, summaries)
-                if s.get("num_partitions")}
-    if len(set(recorded.values())) > 1:
-        raise ValueError(
-            f"chunks of {store_dir} disagree on num_partitions {recorded}; "
-            "rebuild the store with one partition count")
-    if recorded:
-        return next(iter(recorded.values()))
-    return (summaries[0].get("partitions")
-            or sum(1 for d in entries if d.startswith("part=")))
+    empty (write_parquet skips them) and would silently shift the modulus."""
+    return published_roots(store_dir)[0][1]["num_partitions"]
 
 
 def read_triple_store(paths: str | list[str], columns: list[str] | None = None):
@@ -169,21 +207,13 @@ def read_triple_store(paths: str | list[str], columns: list[str] | None = None):
                                  file_extensions=["parquet"])
 
 
-def completed_chunks(out_dir: str) -> set[str]:
-    """Chunk dirs whose atomic rename finished (resume ledger)."""
-    if not os.path.isdir(out_dir):
-        return set()
-    return {d for d in os.listdir(out_dir)
-            if d.startswith("chunk=") and
-            os.path.isfile(os.path.join(out_dir, d, LINEAGE_DIR, "_summary.json"))}
-
-
 def run_resumable(input_files: list[str], out_dir: str, run_chunk,
                   chunk_size: int = 8) -> dict:
     """Resumable chunked driver: group ``input_files`` into deterministic
     chunks; for each chunk whose output doesn't exist, call
-    ``run_chunk(files, tmp_dir)`` (which must write a triple store incl.
-    lineage into ``tmp_dir``), then atomically rename into place.
+    ``run_chunk(files, chunk_dir)``, which must write a triple store into
+    ``chunk_dir`` with ``write_triple_store``. That publishes the chunk, so
+    an existing ``chunk=`` directory is a finished one.
 
     A re-run after a crash skips finished chunks — the per-partition
     lineage sidecars inside each chunk are the checkpoint ledger the north
@@ -192,25 +222,20 @@ def run_resumable(input_files: list[str], out_dir: str, run_chunk,
     os.makedirs(out_dir, exist_ok=True)
     files = sorted(input_files)
     chunks = [files[i:i + chunk_size] for i in range(0, len(files), chunk_size)]
-    done = completed_chunks(out_dir)
+    done = {d for d in os.listdir(out_dir) if d.startswith("chunk=")}
     ran, skipped = [], []
     for i, chunk in enumerate(chunks):
         name = f"chunk={i:05d}"
         if name in done:
             skipped.append(name)
             continue
-        tmp = os.path.join(out_dir, f".tmp-{name}-{os.getpid()}")
-        if os.path.isdir(tmp):
-            import shutil
-            shutil.rmtree(tmp)
-        run_chunk(chunk, tmp)
-        os.rename(tmp, os.path.join(out_dir, name))
+        run_chunk(chunk, os.path.join(out_dir, name))
         ran.append(name)
     return {"chunks_total": len(chunks), "chunks_run": ran,
             "chunks_skipped": skipped}
 
 
-def lookup_subject(store_dir: str, subj: str, num_partitions: int | None = None):
+def lookup_subject(store_dir: str, subj: str):
     """Point lookup in the triple store WITHOUT a full scan: ``part =
     stable_hash64(subj) % P`` selects exactly one partition directory, and
     the Parquet filter pushes the subject predicate into row groups — this
@@ -219,61 +244,32 @@ def lookup_subject(store_dir: str, subj: str, num_partitions: int | None = None)
 
     from ccnerx_ray.functions.hashing import stable_hash64
 
-    if num_partitions is None:
-        num_partitions = store_num_partitions(store_dir)
-
-    part = stable_hash64(subj) % num_partitions
-    roots = []
-    entries = os.listdir(store_dir)
-    if any(d.startswith("chunk=") for d in entries):
-        for c in sorted(d for d in entries if d.startswith("chunk=")):
-            p = os.path.join(store_dir, c, f"part={part}")
-            if os.path.isdir(p):
-                roots.append(p)
-    else:
-        p = os.path.join(store_dir, f"part={part}")
-        if os.path.isdir(p):
-            roots.append(p)
-    if not roots:
+    roots = published_roots(store_dir)
+    part = stable_hash64(subj) % roots[0][1]["num_partitions"]
+    files = [f for r, _ in roots
+             for f in parquet_files(os.path.join(r, f"part={part}"))]
+    if not files:
         return []
-    files = [os.path.join(r, f) for r in roots for f in sorted(os.listdir(r))
-             if f.endswith(".parquet")]
     ds = pds.dataset(files)
     return ds.to_table(filter=pds.field("subj") == subj).to_pylist()
 
 
-def compact_store(store_dir: str, out_dir: str,
-                  num_partitions: int | None = None) -> dict:
+def compact_store(store_dir: str, out_dir: str) -> dict:
     """Compact a (possibly chunked) triple store into one file per
     partition — the small-files remedy after many resumable chunks. One
     Ray task per partition (embarrassingly parallel; partition dirs never
-    overlap), atomic via temp dir + rename."""
-    import shutil
-
+    overlap), published like every store."""
     import ray
 
-    # carry num_partitions from the source store's lineage: without it a
-    # compacted store's lookup modulus would fall back to counting
-    # non-empty part= dirs (the very under-count bug lookup_subject fixes).
-    # Read first: chunks written with different moduli must not be merged.
-    src_np = store_num_partitions(store_dir)
-    entries = os.listdir(store_dir)
-    chunked = [d for d in sorted(entries) if d.startswith("chunk=")]
-    roots = ([os.path.join(store_dir, c) for c in chunked]
-             if chunked else [store_dir])
+    # num_partitions carries over from the source lineage: counting the
+    # compacted store's non-empty part= dirs would shift the lookup modulus
+    roots = published_roots(store_dir)
     parts: dict[str, list[str]] = {}
-    for root in roots:
+    for root, _ in roots:
         for d in sorted(os.listdir(root)):
             if d.startswith("part="):
-                pdir = os.path.join(root, d)
                 parts.setdefault(d, []).extend(
-                    os.path.join(pdir, f) for f in sorted(os.listdir(pdir))
-                    if f.endswith(".parquet"))
-
-    tmp = out_dir.rstrip("/") + f".tmp-{os.getpid()}"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp)
+                    parquet_files(os.path.join(root, d)))
 
     @ray.remote
     def compact_one(part_name: str, files: list[str], dest_dir: str) -> int:
@@ -295,12 +291,12 @@ def compact_store(store_dir: str, out_dir: str,
         return rows
 
     t0 = time.time()
-    rows = ray.get([compact_one.remote(p, fs, tmp)
-                    for p, fs in sorted(parts.items())])
-    extra = {"compacted_from": len(roots)}
-    if num_partitions or src_np:
-        extra["num_partitions"] = num_partitions or src_np
-    summary = write_lineage(tmp, time.time() - t0, extra)
-    os.rename(tmp, out_dir)
-    summary["rows_check"] = sum(rows)
-    return summary
+    with published(out_dir) as stage:
+        rows = ray.get([compact_one.remote(p, fs, stage)
+                        for p, fs in sorted(parts.items())])
+        result = write_lineage(
+            stage, time.time() - t0,
+            {"compacted_from": len(roots),
+             "num_partitions": roots[0][1]["num_partitions"]})
+    result["rows_check"] = sum(rows)
+    return result

@@ -13,7 +13,7 @@ bound ``adaptive_join`` falls back to a hash join), and only new or
 changed documents are re-tagged.
 
 Every shuffle and write width on these paths is sized from sizes the job
-already holds (the write summary's ``bytes``, the old store's lineage)
+already holds (the ``bytes`` and ``rows`` of the stores' lineage)
 through one rule, ``grouping.derive_hash_partitions`` — no fan-out is
 hard-coded.
 
@@ -97,19 +97,6 @@ def mentions_dataset(corpus, catalog_pairs, cfg: PipelineConfig = PipelineConfig
     return _tagged(corpus, catalog_pairs, cfg, "mentions")
 
 
-def structural_triples_dataset(corpus):
-    """corpus → TRIPLE_SCHEMA structural facts (file-distinct import /
-    def / class / call / callarg edges, subj = repo — ``ops/code.py``).
-    The code-native edge set ``run_kg(include_structure=True)`` unions
-    into the SAME partitioned store as the NER mention triples: one
-    (subj, pred, obj) graph carrying both what the corpus *mentions* and
-    what it *structurally declares*, with identical provenance columns
-    so the incremental update's doc-key semi join carries both forward."""
-    from ccnerx_ray.ops.code import file_structure_triples
-
-    return file_structure_triples(corpus)
-
-
 def input_fingerprint(paths) -> dict:
     """Lineage input fingerprint (SURVEY §4): source paths + per-file size
     and mtime digest — enough to detect a changed input on resume without
@@ -146,41 +133,48 @@ def run_kg(corpus_paths, catalog_pairs, out_dir: str,
     summary + entity count.
 
     ``include_structure=True`` additionally streams the code-structure
-    edges (``structural_triples_dataset``) into the SAME store — the
-    corpus Parquet is read a second time for that branch (the
+    edges (``ops/code.py:file_structure_triples``) into the SAME store —
+    the corpus Parquet is read a second time for that branch (the
     ``update_kg`` precedent: re-reading beats holding 10^12 files'
     content in the object store as a union input), and both branches
     stream independently under the executor."""
-    from ccnerx_ray.io.store import write_triple_store
+    from ccnerx_ray.io.store import refuse_existing, write_triple_store
 
+    # a rebuild must fail here, not after tagging the whole corpus
+    refuse_existing(out_dir, _entities_dir(out_dir))
     corpus = read_corpus(corpus_paths, cfg)
     triples = triples_dataset(corpus, catalog_pairs, cfg)
     if include_structure:
+        from ccnerx_ray.ops.code import file_structure_triples
         triples = triples.union(
-            structural_triples_dataset(read_corpus(corpus_paths, cfg)))
+            file_structure_triples(read_corpus(corpus_paths, cfg)))
     summary = write_triple_store(triples, out_dir, cfg.output_partitions,
                                  lineage_extra=input_fingerprint(corpus_paths))
-    if summary["rows"] == 0:
-        # empty corpus → empty store; nothing to canonicalize
-        summary["entities_path"] = None
-        return summary
-    if build_entities:
-        summary["entities_path"] = _write_entities(out_dir, summary["bytes"])
+    # empty corpus → empty store; nothing to canonicalize
+    summary["entities_path"] = (_write_entities(out_dir)
+                                if build_entities and summary["rows"] else None)
     return summary
 
 
-def _write_entities(store_dir: str, store_bytes: int | None) -> str:
-    """Derive the canonical entity table from a freshly written store and
-    write it next to the store; the shuffle is sized from the store's
-    written bytes (``None``: the rule's default). Returns the entity
-    table's path."""
-    from ccnerx_ray.io.store import read_triple_store
+def _entities_dir(store_dir: str) -> str:
+    return store_dir.rstrip("/") + "_entities"
 
-    store = read_triple_store(
-        store_dir, columns=["subj", "pred", "norm_key", "surface", "label"])
-    ents_path = store_dir.rstrip("/") + "_entities"
-    entities_from_triples(store, input_bytes=store_bytes).write_parquet(
-        ents_path)
+
+def _write_entities(store_dir: str) -> str:
+    """Derive the canonical entity table from a published (flat or
+    chunked) store and publish it next to the store; the shuffle is sized
+    from the bytes the store's lineage records. Returns the entity table's
+    path."""
+    from ccnerx_ray.io.store import (published, published_roots,
+                                     read_triple_store)
+
+    roots = published_roots(store_dir)
+    store = read_triple_store([r for r, _ in roots], columns=[
+        "subj", "pred", "norm_key", "surface", "label"])
+    ents_path = _entities_dir(store_dir)
+    with published(ents_path) as stage:
+        entities_from_triples(store, input_bytes=sum(
+            s["bytes"] for _, s in roots)).write_parquet(stage)
     return ents_path
 
 
@@ -246,11 +240,15 @@ def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
     from ccnerx_ray.functions.grouping import (PARTITION_BYTES,
                                                derive_hash_partitions,
                                                drop_duplicate_rows)
-    from ccnerx_ray.io.store import (read_triple_store, store_summary,
-                                     write_triple_store)
+    from ccnerx_ray.io.store import (published_roots, read_triple_store,
+                                     refuse_existing, write_triple_store)
     from ccnerx_ray.ops.join import adaptive_join
     from ccnerx_ray.stages.triples import TRIPLE_SCHEMA
 
+    refuse_existing(out_dir, _entities_dir(out_dir))
+    # sizes the old store's lineage already holds — no extra pass
+    old_roots = published_roots(old_store_dir)
+    old_bytes = sum(s["bytes"] for _, s in old_roots) or None
     # the corpus is consumed twice (key set + anti-join probe) but NEVER
     # materialized — re-reading the Parquet beats holding 10^12 files'
     # content in the object store; the count is read metadata
@@ -260,10 +258,7 @@ def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
         _doc_key_batch(["repo", "path", "commit"]),
         batch_format="pyarrow")
 
-    # sizes the old store's lineage already holds — no extra pass
-    old_summary = store_summary(old_store_dir)
-    old_bytes = old_summary.get("bytes") or None
-    old = read_triple_store(old_store_dir).map_batches(
+    old = read_triple_store([r for r, _ in old_roots]).map_batches(
         _doc_key_batch(["repo", "path", "commit"],
                        sha_col="content_sha256"),
         batch_format="pyarrow")
@@ -298,7 +293,8 @@ def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
         # doc-key columns); only the delta re-extracts. fresh_corpus is
         # lazy — this second consumer re-runs the anti join rather than
         # materializing the delta (delta content can itself be huge).
-        fresh = fresh.union(structural_triples_dataset(fresh_corpus))
+        from ccnerx_ray.ops.code import file_structure_triples
+        fresh = fresh.union(file_structure_triples(fresh_corpus))
     extra = dict(input_fingerprint(corpus_paths),
                  updated_from=old_store_dir,
                  docs_total=docs_total, docs_retagged=docs_retagged)
@@ -307,17 +303,12 @@ def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
     # left out on purpose: its floor would split a small store into cpus
     # files per partition, and its cap would let a task's bundle grow
     # without bound (Ray's Parquet sink holds a task's blocks at once).
-    rows_per_task = (max(1, old_summary["rows"] * PARTITION_BYTES
-                         // old_bytes) if old_bytes else None)
+    rows_per_task = (max(1, sum(s["rows"] for _, s in old_roots)
+                         * PARTITION_BYTES // old_bytes) if old_bytes else None)
     summary = write_triple_store(kept.union(fresh), out_dir,
                                  cfg.output_partitions,
                                  lineage_extra=extra,
                                  min_rows_per_file=rows_per_task)
-    if summary["rows"] == 0:
-        summary["entities_path"] = None
-        return summary
-    if build_entities:
-        summary["entities_path"] = _write_entities(out_dir, summary["bytes"])
-    summary["docs_retagged"] = docs_retagged
-    summary["docs_total"] = docs_total
+    summary["entities_path"] = (_write_entities(out_dir)
+                                if build_entities and summary["rows"] else None)
     return summary

@@ -6,7 +6,7 @@ zero-CPU counter actor collects increments from any worker;
 :func:`snapshot` folds the counters into lineage sidecars
 (``io/store.py:write_lineage``). Fire-and-forget ``.remote`` increments
 keep the hot path free of round-trips — truncation is the rare case, so
-the actor sees traffic only when a cap actually bites.
+the actor is started and sees traffic only when a cap actually bites.
 
 SEMANTICS — counters are SESSION-CUMULATIVE, BEST-EFFORT SIGNALS, not
 exact per-dataset accounting: Dataset re-execution / task retries /
@@ -20,6 +20,7 @@ lineage should reflect only that run (``jobs/kg_job.py`` does).
 from __future__ import annotations
 
 ACTOR_NAME = "ccnerx_metrics"
+NAMESPACE = "ccnerx"
 
 
 def _actor():
@@ -45,7 +46,7 @@ def _actor():
     # detached actor in a fixed namespace is one cluster-wide instance; it
     # dies with the Ray instance (sessions here are per-process).
     return _MetricsActor.options(name=ACTOR_NAME, get_if_exists=True,
-                                 namespace="ccnerx",
+                                 namespace=NAMESPACE,
                                  lifetime="detached").remote()
 
 
@@ -62,21 +63,23 @@ def incr(key: str, n: int = 1) -> None:
         pass
 
 
-def snapshot() -> dict[str, int]:
-    """Current counter values ({} when no counters were ever written)."""
+def _call(method: str, default):
+    """Call ``method`` on the counter actor if one was started — reading or
+    resetting counters never starts it (only :func:`incr` does)."""
     try:
         import ray
         if ray.is_initialized():
-            return ray.get(_actor().get_all.remote(), timeout=10)
-    except Exception:
+            actor = ray.get_actor(ACTOR_NAME, namespace=NAMESPACE)
+            return ray.get(getattr(actor, method).remote(), timeout=10)
+    except Exception:   # no actor: no counters
         pass
-    return {}
+    return default
+
+
+def snapshot() -> dict[str, int]:
+    """Current counter values ({} when no counter was ever incremented)."""
+    return _call("get_all", {})
 
 
 def reset() -> None:
-    try:
-        import ray
-        if ray.is_initialized():
-            ray.get(_actor().reset.remote(), timeout=10)
-    except Exception:
-        pass
+    _call("reset", None)

@@ -62,6 +62,17 @@ def main() -> int:
                     help="local mode only; on a cluster leave unset")
     args = ap.parse_args()
 
+    # data and sidecar go through the output's own filesystem (s3:// too).
+    # A re-run must fail rather than append: checked here, before any
+    # work, because Ray 2.49's write_parquet(mode="error") hands "error" to
+    # every write task, so a fresh output written by several tasks fails.
+    from pyarrow.fs import FileSystem, FileType
+    fs, root = FileSystem.from_uri(
+        args.output if "://" in args.output else os.path.abspath(args.output))
+    if fs.get_file_info(root).type != FileType.NotFound:
+        raise FileExistsError(f"{args.output} already exists; a re-run "
+                              "would append to it. Use a fresh output.")
+
     import ray
 
     if not ray.is_initialized():
@@ -150,18 +161,20 @@ def main() -> int:
         out = degree_counts(
             symmetrize(drop_duplicate_rows(edges, ["u", "v"])), "u")
 
+    # the output held nothing before this write and the sidecar comes
+    # after the count, so the footer count sees exactly this run's rows
     out = out.repartition(args.output_partitions)
     out.write_parquet(args.output)
-    n = ray.data.read_parquet(args.output).count()
+    n = ray.data.read_parquet(args.output,
+                              file_extensions=["parquet"]).count()
 
-    lineage_dir = os.path.join(args.output, "_lineage")
-    os.makedirs(lineage_dir, exist_ok=True)
     summary = {"op": args.op, "pred": pred, "rows": int(n),
                "wall_s": round(time.time() - t0, 2),
                "params": {k: v for k, v in vars(args).items()
                           if k not in ("store", "output", "num_cpus")}}
-    with open(os.path.join(lineage_dir, "graph_job.json"), "w") as f:
-        json.dump(summary, f)
+    fs.create_dir(f"{root}/_lineage")
+    with fs.open_output_stream(f"{root}/_lineage/graph_job.json") as f:
+        f.write(json.dumps(summary).encode())
     print(json.dumps(summary))
     ray.shutdown()
     return 0

@@ -22,6 +22,7 @@ import argparse
 import glob
 import json
 import os
+import shutil
 import sys
 import time
 
@@ -107,8 +108,8 @@ def main() -> int:
             print(f"no parquet files under {args.input}", file=sys.stderr)
             return 2
 
-        def run_chunk(chunk_files, tmp_dir):
-            run_kg(chunk_files, catalog, tmp_dir, cfg, build_entities=False,
+        def run_chunk(chunk_files, chunk_dir):
+            run_kg(chunk_files, catalog, chunk_dir, cfg, build_entities=False,
                    include_structure=args.include_structure)
 
         summary = run_resumable(files, args.output, run_chunk,
@@ -116,16 +117,10 @@ def main() -> int:
         # entity table over the full (chunked) store — cheap relative to
         # the corpus pass; rebuilt whenever any chunk ran
         if summary["chunks_run"]:
-            import shutil
-
-            from ccnerx_ray.pipelines.kg import _write_entities
-            shutil.rmtree(args.output.rstrip("/") + "_entities",
-                          ignore_errors=True)
-            # a chunked store has no run-level summary to size from
-            summary["entities_path"] = _write_entities(args.output, None)
+            from ccnerx_ray.pipelines.kg import _entities_dir, _write_entities
+            shutil.rmtree(_entities_dir(args.output), ignore_errors=True)
+            summary["entities_path"] = _write_entities(args.output)
     if args.compact and not args.no_resume:
-        import shutil
-
         from ccnerx_ray.io.store import compact_store
         cpath = args.output.rstrip("/") + "_compacted"
         shutil.rmtree(cpath, ignore_errors=True)

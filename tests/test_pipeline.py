@@ -159,11 +159,10 @@ def test_lookup_subject_partition_pruned(ray_session, corpus_dir, catalog_pairs,
     import pyarrow.parquet as pq
     any_file = glob.glob(os.path.join(out, "part=*", "*.parquet"))[0]
     subj = pq.read_table(any_file, columns=["subj"]).column("subj")[0].as_py()
-    rows = lookup_subject(out, subj, num_partitions=CFG.output_partitions)
+    rows = lookup_subject(out, subj)
     assert rows and all(r["subj"] == subj for r in rows)
     # a made-up subject returns empty, not an error
-    assert lookup_subject(out, "no-such-subject",
-                          num_partitions=CFG.output_partitions) == []
+    assert lookup_subject(out, "no-such-subject") == []
 
 
 def test_compact_store(ray_session, corpus_dir, catalog_pairs, tmp_path):
