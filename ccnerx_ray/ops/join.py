@@ -49,7 +49,16 @@ _ACTUAL_SLACK = 4
 
 def _materialize_build(build, broadcast_bytes: int,
                        estimate_bytes: int | None) -> pa.Table | None:
+    """Build-side table when the broadcast path is safe, else ``None``
+    (also for a build side without rows: it has no schema to join on)."""
+    tbl = _broadcast_build(build, broadcast_bytes, estimate_bytes)
+    return tbl if tbl is not None and tbl.num_columns else None
+
+
+def _broadcast_build(build, broadcast_bytes: int,
+                     estimate_bytes: int | None) -> pa.Table | None:
     """Build-side table when the broadcast path is safe, else ``None``.
+    A build side without rows comes back as a column-less empty table.
 
     ``estimate_bytes`` is checked BEFORE any execution (a lying-high
     estimate costs only a missed fast path); the materialized size is
@@ -83,7 +92,7 @@ def _materialize_build(build, broadcast_bytes: int,
             return None
         blocks.append(blk)
     if not blocks:
-        return None  # no non-empty block ⇒ no schema; hash path handles it
+        return pa.table({})  # no rows, and no schema to join against
     return pa.concat_tables(blocks).combine_chunks()
 
 
@@ -117,7 +126,16 @@ def adaptive_join(probe, build, *, on: str, right_on: str | None = None,
     if join_type not in ("inner", "left_semi", "left_anti", "left_outer"):
         raise ValueError(f"unsupported join_type: {join_type}")
 
-    tbl = _materialize_build(build, broadcast_bytes, build_bytes_hint)
+    tbl = _broadcast_build(build, broadcast_bytes, build_bytes_hint)
+    if tbl is not None and tbl.num_columns == 0:
+        # an empty build side: semi keeps no probe row, anti keeps them
+        # all; inner / outer need the build schema, so they hash-join
+        if join_type == "left_anti":
+            return probe
+        if join_type == "left_semi":
+            return probe.map_batches(lambda b: b.slice(0, 0),
+                                     batch_format="pyarrow")
+        tbl = None
     if tbl is None:
         if num_partitions is None:
             if probe_bytes_hint is None:

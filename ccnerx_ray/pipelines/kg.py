@@ -5,17 +5,20 @@
 the canonical entity table is then derived from the (small) store — the
 only shuffle in the whole job.
 
-``update_kg`` refreshes a store from a new corpus: unchanged documents'
-triples carry forward through a BROADCAST semi join (the doc-scale
-corpus key set is shipped once and each old-store batch is filtered with
-``pc.is_in`` — no shuffle of the triple-scale side; past the broadcast
-bound ``adaptive_join`` falls back to a hash join), and only new or
-changed documents are re-tagged.
+``update_kg`` refreshes a store from a new corpus. The corpus is keyed
+once into a doc-scale table; the old store's document keys are its
+``in_repo`` rows (one per document), so no distinct over its triples
+runs. Unchanged documents' triples carry forward through a BROADCAST
+semi join (the doc-scale key table is shipped once and each old-store
+batch is filtered with ``pc.is_in`` — no shuffle of the triple-scale
+side; past the broadcast bound ``adaptive_join`` falls back to a hash
+join), and only new or changed documents are re-tagged.
 
-Every shuffle and write width on these paths is sized from sizes the job
-already holds (the ``bytes`` and ``rows`` of the stores' lineage)
-through one rule, ``grouping.derive_hash_partitions`` — no fan-out is
-hard-coded.
+Every triple-scale shuffle on these paths is sized from the ``bytes`` of
+the stores' lineage through one rule, ``grouping.derive_hash_partitions``
+— no fan-out is hard-coded; the update's write width comes from the old
+store's lineage ``rows`` and ``bytes``. The update's doc-scale duplicate
+check is a plain ``groupby`` over its key table.
 
 Every stage streams: no ``materialize()``/``take_all()`` on big data, the
 wide ``content`` column dies at segmentation, and the catalog is broadcast
@@ -204,6 +207,26 @@ def _doc_key_batch(cols: list[str], sha_col: str | None = None):
     return add
 
 
+def _refuse_duplicate_docs(keys, cols: list[str]) -> None:
+    """Raise ``ValueError`` when two rows of the doc-scale key table share
+    ``cols``. Rows with a null key column are skipped (the segmenter
+    quarantines them). The count runs on the cluster; at most one
+    duplicated key reaches the driver."""
+    def repeated(batch):
+        import pyarrow.compute as _pc
+        return batch.filter(_pc.greater(batch.column("count()"), 1))
+
+    dup = (keys.select_columns(cols)
+           .map_batches(lambda b: b.drop_null(), batch_format="pyarrow")
+           .groupby(cols).count()
+           .map_batches(repeated, batch_format="pyarrow").take(1))
+    if dup:
+        raise ValueError(
+            f"corpus has {dup[0]['count()']} rows for document "
+            f"{tuple(dup[0][c] for c in cols)}; {tuple(cols)} must be "
+            "unique per row")
+
+
 def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
               out_dir: str, cfg: PipelineConfig = PipelineConfig(),
               build_entities: bool = True,
@@ -211,59 +234,64 @@ def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
     """INCREMENTAL KG update (the north rule's resumability taken to its
     10^12-file conclusion: a daily corpus drop must not re-tag the
     world). Documents are identified by the exact key (repo, path,
-    commit, content_sha256); against an existing store:
+    commit, content_sha256); the corpus is keyed once into a doc-scale
+    table, and the old store's keys are its ``in_repo`` rows (one per
+    document, ``stages/triples.py:filter_in_repo``) — no distinct over
+    the store's triples. Against the old store:
 
     * triples of documents still present carry forward UNTAGGED — a
       left-semi ``adaptive_join`` of the old store against the corpus key
-      set. The key set is doc-scale, so its stats-based choice
+      table. The key table is doc-scale, so its stats-based choice
       broadcasts it once and filters each old-store batch with
       ``pc.is_in``: the triple-scale side is never shuffled. Past the
       broadcast bound it falls back to a hash join sized from the old
       store's lineage bytes;
     * only NEW keys (changed content, new or moved files) run through
       the tagger — a left-anti ``adaptive_join`` of the corpus against
-      the old store's distinct keys;
+      the old store's keys;
     * triples of removed/changed documents simply fail the semi join.
 
-    Shuffle widths come from the old store's lineage summary through
-    ``derive_hash_partitions``, and the write is bundled to one task per
-    ``PARTITION_BYTES`` of store at the old store's bytes per row, so an
-    updated store keeps a build's layout (one file per partition per
-    write task) instead of one file per upstream block.
+    The write is bundled to one task per ``PARTITION_BYTES`` of store at
+    the old store's bytes per row, so an updated store keeps a build's
+    layout (one file per partition per write task) instead of one file
+    per upstream block.
 
     The result is bit-equal to a fresh full ``run_kg`` over the new
     corpus (test-enforced at the triple-multiset level) while the tagger
     — the expensive stage — touches only the delta. Lineage records
     ``docs_retagged`` / ``docs_total`` so a run can prove how little it
-    did. Assumes corpus rows are unique per (repo, path, commit) — the
-    same assumption a full run's per-row provenance makes."""
-    from ccnerx_ray.functions.grouping import (PARTITION_BYTES,
-                                               derive_hash_partitions,
-                                               drop_duplicate_rows)
+    did. Corpus rows must be unique per (repo, path, commit): a
+    duplicate raises ``ValueError`` before any store is staged."""
+    from ccnerx_ray.functions.grouping import PARTITION_BYTES
     from ccnerx_ray.io.store import (published_roots, read_triple_store,
                                      refuse_existing, write_triple_store)
     from ccnerx_ray.ops.join import adaptive_join
-    from ccnerx_ray.stages.triples import TRIPLE_SCHEMA
+    from ccnerx_ray.stages.triples import TRIPLE_SCHEMA, filter_in_repo
 
     refuse_existing(out_dir, _entities_dir(out_dir))
     # sizes the old store's lineage already holds — no extra pass
     old_roots = published_roots(old_store_dir)
+    old_paths = [r for r, _ in old_roots]
     old_bytes = sum(s["bytes"] for _, s in old_roots) or None
-    # the corpus is consumed twice (key set + anti-join probe) but NEVER
-    # materialized — re-reading the Parquet beats holding 10^12 files'
-    # content in the object store; the count is read metadata
-    base_corpus = read_corpus(corpus_paths, cfg)
-    docs_total = base_corpus.count()
-    corpus = base_corpus.map_batches(
-        _doc_key_batch(["repo", "path", "commit"]),
-        batch_format="pyarrow")
+    key_cols = ["repo", "path", "commit"]
+    # the corpus is keyed twice — into the doc-scale key table here and
+    # by the anti join that feeds the tagger; its content is NEVER
+    # materialized: re-reading the Parquet beats holding 10^12 files'
+    # content in the object store
+    corpus = read_corpus(corpus_paths, cfg).map_batches(
+        _doc_key_batch(key_cols), batch_format="pyarrow")
+    corpus_keys = corpus.select_columns(key_cols + ["_doc_key"]).materialize()
+    _refuse_duplicate_docs(corpus_keys, key_cols)
+    # the old store's document keys: its in_repo rows, one per document
+    old_keys = read_triple_store(
+        old_paths, columns=key_cols + ["content_sha256", "pred"],
+    ).map_batches(filter_in_repo, batch_format="pyarrow").map_batches(
+        _doc_key_batch(key_cols, sha_col="content_sha256"),
+        batch_format="pyarrow").select_columns(["_doc_key"]).materialize()
 
-    old = read_triple_store([r for r, _ in old_roots]).map_batches(
-        _doc_key_batch(["repo", "path", "commit"],
-                       sha_col="content_sha256"),
+    old = read_triple_store(old_paths).map_batches(
+        _doc_key_batch(key_cols, sha_col="content_sha256"),
         batch_format="pyarrow")
-
-    corpus_keys = corpus.select_columns(["_doc_key"])
     tcols = [f.name for f in TRIPLE_SCHEMA]
 
     def strip_key(batch):
@@ -275,29 +303,28 @@ def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
         probe_bytes_hint=old_bytes,
     ).map_batches(strip_key, batch_format="pyarrow")
 
-    # distinct old doc keys — a digest-scale table (one row per doc, not
-    # per triple) for the anti join's build side
-    old_keys = drop_duplicate_rows(
-        old.select_columns(["_doc_key"]), ["_doc_key"],
-        num_buckets=derive_hash_partitions(old_bytes))
-    fresh_corpus = adaptive_join(corpus, old_keys, on="_doc_key",
-                                 join_type="left_anti")
-    fresh_corpus = fresh_corpus.drop_columns(["_doc_key",
-                                              "content_sha256"])
-    docs_retagged = fresh_corpus.count()
+    # counted over the two doc-scale tables: no corpus pass
+    docs_retagged = adaptive_join(corpus_keys, old_keys, on="_doc_key",
+                                  join_type="left_anti").count()
+    fresh_corpus = adaptive_join(
+        corpus, old_keys, on="_doc_key", join_type="left_anti",
+    ).drop_columns(["_doc_key", "content_sha256"])
 
     fresh = triples_dataset(fresh_corpus, catalog_pairs, cfg)
     if include_structure:
         # structural edges of unchanged docs carry forward through the
         # same semi join above (they live in the old store with the same
-        # doc-key columns); only the delta re-extracts. fresh_corpus is
-        # lazy — this second consumer re-runs the anti join rather than
-        # materializing the delta (delta content can itself be huge).
+        # doc-key columns); only the delta re-extracts. The delta is an
+        # anti join, not a semi join on fresh keys, so null-key rows
+        # (which the tagger skips but structure extraction keeps) stay
+        # in it. fresh_corpus is lazy — this second consumer re-runs the
+        # anti join (a third corpus pass) rather than materializing the
+        # delta (delta content can itself be huge).
         from ccnerx_ray.ops.code import file_structure_triples
         fresh = fresh.union(file_structure_triples(fresh_corpus))
     extra = dict(input_fingerprint(corpus_paths),
                  updated_from=old_store_dir,
-                 docs_total=docs_total, docs_retagged=docs_retagged)
+                 docs_total=corpus_keys.count(), docs_retagged=docs_retagged)
     # write width: one task per PARTITION_BYTES of store, at the old
     # store's bytes per row. The shuffle rule's [cpus, 4*cpus] clamp is
     # left out on purpose: its floor would split a small store into cpus

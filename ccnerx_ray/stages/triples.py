@@ -21,7 +21,9 @@ single-process conformance oracle, so pipeline-vs-oracle P/R is exact):
   (cap is part of the semantics: a pathological segment with hundreds of
   mentions must not emit O(n²) pairs at 10^12-file scale);
 * ``(file_ref, "in_repo", repo)`` and ``(file_ref, "has_lang", lang)`` —
-  only from ``seg_id == 0`` so each file emits them exactly once.
+  only from ``seg_id == 0`` so each file emits them exactly once. The
+  ``in_repo`` rows are therefore the store's document manifest (see
+  :func:`filter_in_repo`).
 
 Stateless ``map_batches`` stage — each nested segment row carries everything
 needed, so triple emission never shuffles.
@@ -30,6 +32,7 @@ needed, so triple emission never shuffles.
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ccnerx_ray.config import PipelineConfig
 
@@ -109,3 +112,12 @@ def make_triple_emitter(cfg: PipelineConfig):
         return pa.Table.from_pydict(out, schema=TRIPLE_SCHEMA)
 
     return emit
+
+
+def filter_in_repo(batch: pa.Table) -> pa.Table:
+    """Keep the ``in_repo`` rows: exactly one per document with a
+    non-null key that has any triple (the ``seg_id == 0`` rule above),
+    each carrying the full doc key ``(repo, path, commit,
+    content_sha256)`` — a store's document manifest, read without a
+    distinct over its triples."""
+    return batch.filter(pc.equal(batch.column("pred"), "in_repo"))

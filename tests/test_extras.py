@@ -1,4 +1,4 @@
-"""Sampling ops (T3-T6), span augmentation (K5), grouping primitive."""
+"""Sampling ops (T3-T6), grouping primitive."""
 
 from __future__ import annotations
 
@@ -21,28 +21,6 @@ def test_sampling_deterministic(ray_session):
     assert len(fs) == 25
     tr, va = train_val_split(ray.data.range(100), 0.2, seed=7)
     assert tr.count() == 80 and va.count() == 20
-
-
-def test_augment_by_replacement(ray_session):
-    import ray.data
-    from ccnerx_ray.ops.augment import augment_by_replacement
-
-    rows = [{"text": ["call", "foo_fn", "now"],
-             "label": ["O", "S-FUNC", "O"]} for _ in range(30)]
-    ds = ray.data.from_items(rows)
-    surf = {"FUNC": [["bar_fn"], ["deep", "fn"]]}
-    out = augment_by_replacement(ds, surf, rate=1.0, seed=3).take_all()
-    assert len(out) == 30
-    for r in out:
-        assert r["replaced"]
-        assert r["replace_from"] == "foo_fn"
-        assert r["replace_to"] in ("bar_fn", "deep fn")
-        assert len(r["text"]) == len(r["label"])
-        if r["replace_to"] == "deep fn":
-            assert r["label"][1:3] == ["B-FUNC", "E-FUNC"]
-    # rate=0 → nothing changes
-    out0 = augment_by_replacement(ds, surf, rate=0.0, seed=3).take_all()
-    assert not any(r["replaced"] for r in out0)
 
 
 def test_grouped_reduce_and_drop_duplicates(ray_session):

@@ -925,6 +925,20 @@ def test_adaptive_join_lying_low_estimate_falls_back(ray_session):
     assert out.count() == 50
 
 
+def test_adaptive_join_empty_build_semi_anti(ray_session):
+    """A build side without rows needs no join: semi keeps no probe row,
+    anti keeps every one, and the semi result keeps the probe schema."""
+    import ray.data
+    from ccnerx_ray.ops.join import adaptive_join
+    probe = ray.data.from_items([{"k": str(i), "v": i} for i in range(20)])
+    build = ray.data.from_items([{"k": "x"}]).filter(lambda r: False)
+    anti = adaptive_join(probe, build, on="k", join_type="left_anti")
+    assert sorted(r["v"] for r in anti.take_all()) == list(range(20))
+    semi = adaptive_join(probe, build, on="k", join_type="left_semi")
+    assert semi.count() == 0
+    assert semi.schema().names == ["k", "v"]
+
+
 def test_media_headers_expected_equals_probe():
     """Parameter-derived expectation == byte-parsed probe output for the
     fixture (the invariant behind the media_headers SQL oracle)."""

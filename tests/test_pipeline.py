@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import glob
 import os
+import re
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -417,14 +418,22 @@ def test_embedding_dedup_off_derived_embeddings(ray_session):
     assert got == {(1, 2)}
 
 
+def _corpus_rows(corpus_dir: str) -> list[dict]:
+    return [r for f in sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
+            for r in pq.read_table(f).to_pylist()]
+
+
+def _write_corpus_rows(rows: list[dict], d: str) -> str:
+    os.makedirs(d)
+    pq.write_table(pa.Table.from_pylist(rows), os.path.join(d, "a.parquet"))
+    return d
+
+
 def _corpus_v2(corpus_dir: str, v2: str) -> tuple[str, int]:
     """The fixture corpus with 5 docs removed, 7 changed in place (a token
     appended) and 4 added, written as two files under ``v2``. Returns the
     directory and its row count."""
-    rows = []
-    for f in sorted(glob.glob(os.path.join(corpus_dir, "*.parquet"))):
-        rows.extend(pq.read_table(f).to_pylist())
-    rows = rows[5:]                       # 5 removed
+    rows = _corpus_rows(corpus_dir)[5:]   # 5 removed
     for r in rows[:7]:                    # 7 changed in place
         r["content"] = r["content"] + "\nchanged_token = 1"
     for j in range(4):                    # 4 added
@@ -505,10 +514,141 @@ def test_update_kg_incremental_equals_full_run(ray_session, corpus_dir,
     assert s_upd["docs_total"] == n_rows
     assert s_upd["docs_retagged"] == 7 + 4    # changed + added only
 
-    def triple_frame(store):
-        from ccnerx_ray.io.store import read_triple_store
-        df = read_triple_store(store).to_pandas()
-        cols = sorted(c for c in df.columns if c != "part")
-        return df[cols].sort_values(cols).reset_index(drop=True)
+    pd.testing.assert_frame_equal(_triple_frame(upd), _triple_frame(full))
 
-    pd.testing.assert_frame_equal(triple_frame(upd), triple_frame(full))
+
+def _triple_frame(store: str):
+    """A store's triples as a sorted frame (the ``part`` column dropped),
+    for multiset equality."""
+    from ccnerx_ray.io.store import read_triple_store
+    df = read_triple_store(store).to_pandas()
+    cols = sorted(c for c in df.columns if c != "part")
+    return df[cols].sort_values(cols).reset_index(drop=True)
+
+
+def test_update_kg_refuses_duplicate_doc(ray_session, corpus_dir,
+                                         catalog_pairs, tmp_path):
+    """A corpus with two rows for one (repo, path, commit) raises before
+    any store is staged: a fresh build would emit that document's
+    triples twice, the carry-forward once."""
+    from ccnerx_ray.pipelines.kg import update_kg
+
+    store1 = str(tmp_path / "store1")
+    run_kg(corpus_dir, catalog_pairs, store1, CFG, build_entities=False)
+    rows = _corpus_rows(corpus_dir)
+    dup = dict(rows[3], content=rows[3]["content"] + "\nx = 1")
+    v2 = _write_corpus_rows(rows + [dup], str(tmp_path / "v2"))
+    upd = tmp_path / "store_upd"
+    with pytest.raises(ValueError, match=re.escape(rows[3]["path"])):
+        update_kg(v2, catalog_pairs, store1, str(upd), CFG)
+    assert not upd.exists()
+    assert not (tmp_path / "store_upd_entities").exists()
+    assert not list(tmp_path.glob(".store_upd*.tmp-*"))
+
+
+def test_update_kg_null_commit_rows_do_not_raise(ray_session, corpus_dir,
+                                                 catalog_pairs, tmp_path):
+    """Rows with a null key column are quarantined by the segmenter, so
+    two of them sharing (repo, path) are not a duplicate document."""
+    from ccnerx_ray.pipelines.kg import update_kg
+
+    store1 = str(tmp_path / "store1")
+    run_kg(corpus_dir, catalog_pairs, store1, CFG, build_entities=False)
+    rows = _corpus_rows(corpus_dir)
+    nulls = [dict(rows[0], commit=None), dict(rows[0], commit=None)]
+    v2 = _write_corpus_rows(rows + nulls, str(tmp_path / "v2"))
+    s = update_kg(v2, catalog_pairs, store1, str(tmp_path / "upd"), CFG,
+                  build_entities=False)
+    assert s["docs_total"] == len(rows) + 2
+    assert s["docs_retagged"] == 2
+
+
+def test_update_kg_empty_corpus(ray_session, corpus_dir, catalog_pairs,
+                                tmp_path):
+    """An empty new corpus drops every document: an empty store, typed
+    counts, no entity table."""
+    from ccnerx_ray.pipelines.kg import update_kg
+
+    store1 = str(tmp_path / "store1")
+    run_kg(corpus_dir, catalog_pairs, store1, CFG, build_entities=False)
+    schema = pq.read_schema(
+        glob.glob(os.path.join(corpus_dir, "*.parquet"))[0])
+    v2 = tmp_path / "v2"
+    v2.mkdir()
+    pq.write_table(schema.empty_table(), str(v2 / "a.parquet"))
+    s = update_kg(str(v2), catalog_pairs, store1, str(tmp_path / "upd"), CFG)
+    assert (s["rows"], s["docs_total"], s["docs_retagged"]) == (0, 0, 0)
+    assert s["entities_path"] is None
+
+
+def _assert_one_in_repo_per_doc(store: str) -> None:
+    import collections
+
+    import pyarrow.dataset as pds
+
+    t = pds.dataset(store, format="parquet", partitioning="hive").to_table(
+        columns=["pred", "repo", "path", "commit", "content_sha256"])
+    rows = t.to_pylist()
+    key = ("repo", "path", "commit", "content_sha256")
+    docs = {tuple(r[c] for c in key) for r in rows
+            if all(r[c] is not None for c in key)}
+    in_repo = collections.Counter(tuple(r[c] for c in key) for r in rows
+                                  if r["pred"] == "in_repo")
+    assert docs and in_repo == dict.fromkeys(docs, 1), store
+
+
+def test_in_repo_rows_are_the_doc_manifest(ray_session, corpus_dir,
+                                           catalog_pairs, tmp_path):
+    """``update_kg`` reads the old store's document keys from its
+    ``in_repo`` rows, so every store the job writes must hold exactly one
+    ``in_repo`` row per doc key that has any triple — also for a
+    document without mentions, and with structure triples on. An empty
+    document has no triples, so it is re-tagged on every update."""
+    import pandas as pd
+
+    from ccnerx_ray.pipelines.kg import update_kg
+
+    rows = _corpus_rows(corpus_dir)
+    plain = dict(rows[0], path="plain.txt", content="zz qq")
+    empty = dict(rows[0], path="empty.py", content="")
+    v2 = _write_corpus_rows(rows + [plain, empty], str(tmp_path / "v2"))
+
+    store1 = str(tmp_path / "store1")
+    run_kg(corpus_dir, catalog_pairs, store1, CFG, build_entities=False)
+    stores = {"full": False, "full_structure": True}
+    for name, structure in stores.items():
+        run_kg(v2, catalog_pairs, str(tmp_path / name), CFG,
+               build_entities=False, include_structure=structure)
+    upd = str(tmp_path / "upd")
+    s = update_kg(v2, catalog_pairs, store1, upd, CFG, build_entities=False)
+    assert s["docs_retagged"] == 2
+
+    full = _triple_frame(str(tmp_path / "full"))
+    plain_rows = full[full["path"] == "plain.txt"]
+    assert set(plain_rows["pred"]) == {"in_repo", "has_lang"}
+    assert not (full["path"] == "empty.py").any()
+    for store in [upd] + [str(tmp_path / n) for n in stores]:
+        _assert_one_in_repo_per_doc(store)
+    pd.testing.assert_frame_equal(_triple_frame(upd), full)
+
+
+def test_update_kg_runs_no_grouped_shuffle(ray_session, corpus_dir,
+                                           catalog_pairs, tmp_path,
+                                           monkeypatch):
+    """Before the entity step the update path builds no ``coarse_grouped``
+    stage: the old doc keys come from the ``in_repo`` rows, not from a
+    distinct over the store's triples."""
+    import ccnerx_ray.functions.grouping as grouping
+    from ccnerx_ray.pipelines.kg import update_kg
+
+    store1 = str(tmp_path / "store1")
+    run_kg(corpus_dir, catalog_pairs, store1, CFG, build_entities=False)
+    v2, n_rows = _corpus_v2(corpus_dir, str(tmp_path / "v2"))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("coarse_grouped on the update path")
+
+    monkeypatch.setattr(grouping, "coarse_grouped", boom)
+    s = update_kg(v2, catalog_pairs, store1, str(tmp_path / "upd"), CFG,
+                  build_entities=False)
+    assert s["docs_total"] == n_rows and s["docs_retagged"] == 7 + 4
