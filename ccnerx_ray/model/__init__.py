@@ -4,8 +4,8 @@ Stands in for the reference's torch LEBert + BiLSTM + CRF stack
 (``CC/model.py:34-49``, ``CC/LEBert.py:172-196``, ``CC/birnncrf.py:6-41``,
 ``CC/crf.py:15-158``): weights are seeded deterministically so the Ray
 pipeline and the single-process oracle agree bit-for-bit (SURVEY.md §7 M3).
-No torch dependency — this container has none; a real GPU deployment swaps
-``TaggerModel`` for a torch module inside the same actor-pool stage.
+``TaggerModel`` is the one emission model: the KG job, the oracle and the
+registry all tag through it.
 """
 
 from ccnerx_ray.model.crf import viterbi_decode, CRFParams

@@ -17,11 +17,6 @@ Positions enter through the classic sinusoidal encoding (parameter-free
 and deterministic), so emissions are CONTEXTUAL — the per-token row
 cache of the MLP backbone does not apply, which is exactly the regime a
 real BERT tagger runs in.
-
-The numpy module is the source of truth; the torch twin
-(``torch_adapter.TorchTaggerModel`` with ``backbone="attn"``) is
-constructed FROM these arrays so a parity test can demand identical
-spans between backends.
 """
 
 from __future__ import annotations

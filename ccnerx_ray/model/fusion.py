@@ -16,11 +16,6 @@ skip fusion entirely (identity). The reference softmaxes an all-masked
 row into a uniform mix of PAD projections, adding a constant bias vector
 at wordless positions — an artifact of fixed-shape batching that a
 per-position implementation has no reason to replicate.
-
-The numpy module is the source of truth; the torch twin
-(``torch_adapter.build_torch_fusion``) is constructed FROM these arrays
-so both backends hold identical parameters and a parity test can demand
-identical spans.
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ def save_checkpoint(path: str, cfg: PipelineConfig = PipelineConfig()) -> str:
 
 def load_checkpoint(path: str) -> dict:
     """Read an ``.npz`` checkpoint into the ``weights=`` dict
-    :class:`TaggerModel` / ``TorchTaggerModel`` accept."""
+    :class:`TaggerModel` accepts."""
     with np.load(path, allow_pickle=False) as z:
         return {k: z[k] for k in z.files}
 
@@ -238,43 +238,26 @@ class TaggerModel:
                 self._word_emb_cache[word] = vec
         return vec
 
-    def _fused_emissions(self, tokens: list[str]) -> np.ndarray:
-        """LEBert-mode unary scores: hidden states fused with the
-        position's matched-word embeddings through word attention
-        (``model/fusion.py``; LEBert.py:172-196 information flow), THEN
-        projected to tag space; the additive lexicon boost still applies
-        (seeded fusion weights carry no label signal)."""
+    def _matched_words(self, spans, L: int) -> tuple[np.ndarray, np.ndarray]:
+        """LEBert fusion inputs: ``[L, max_word_num, embed_dim]`` embeddings
+        of the trie words covering each position (zero-padded) and their
+        ``[L, max_word_num]`` presence mask."""
         from ccnerx_ray.model.fusion import position_word_slots
 
-        L = len(tokens)
-        T = self.num_tags + 2
-        X = np.stack([self._embed(t) for t in tokens])
-        H = np.tanh(X @ self.W1 + self.b1)
-        spans = list(self.trie.spans(tokens,
-                                     max_words=self.cfg.max_word_num))
-        slots = position_word_slots(spans, L, self.cfg.max_word_num)
         Wn = self.cfg.max_word_num
         Wm = np.zeros((L, Wn, self.cfg.embed_dim))
         mask = np.zeros((L, Wn))
-        for k, words in enumerate(slots):
+        for k, words in enumerate(position_word_slots(spans, L, Wn)):
             for j, w in enumerate(words):
                 Wm[k, j] = self._word_embed(w)
                 mask[k, j] = 1.0
-        e = self.fusion.fuse(H, Wm, mask) @ self.W2 + self.b2
+        return Wm, mask
+
+    def _tag_scores(self, e: np.ndarray) -> np.ndarray:
+        """O bias and impossible START/STOP columns on ``[L, T]`` backbone
+        outputs (in place; never emit START/STOP mid-sequence)."""
         e[:, self.tag2id["O"]] += self.o_bias
         e[:, -2:] = IMPOSSIBLE
-        boost = self.cfg.lexicon_boost
-        for start, end, word in spans:
-            lab = self.catalog.label(word)
-            if lab is None:
-                continue
-            if end - start == 1:
-                e[start, self.tag2id[f"S-{lab}"]] += boost
-            else:
-                e[start, self.tag2id[f"B-{lab}"]] += boost
-                for k in range(start + 1, end - 1):
-                    e[k, self.tag2id[f"I-{lab}"]] += boost
-                e[end - 1, self.tag2id[f"E-{lab}"]] += boost
         return e
 
     def _apply_boost(self, e: np.ndarray, spans) -> None:
@@ -292,42 +275,38 @@ class TaggerModel:
                     e[k, self.tag2id[f"I-{lab}"]] += boost
                 e[end - 1, self.tag2id[f"E-{lab}"]] += boost
 
-    def _attn_emissions(self, tokens: list[str]) -> np.ndarray:
-        """Attention-backbone unary scores: token embeddings + sinusoidal
-        positions → N self-attention layers with the LEBert word-attention
-        adapter injected after layer ``attn_fusion_layer`` (mid-stack —
-        the CC/LEBert.py:141-196 information flow) → seeded projection to
-        tag space; O bias, START/STOP mask and the additive lexicon boost
-        apply exactly as in the other backbones (seeded weights carry no
-        label signal of their own)."""
-        from ccnerx_ray.model.attention import sinusoidal_positions
-
+    def _contextual_emissions(self, tokens: list[str]) -> np.ndarray:
+        """Unary scores of the position-contextual modes. ``fusion="lebert"``
+        fuses the hidden states with each position's matched-word
+        embeddings through word attention (``model/fusion.py``;
+        LEBert.py:172-196 information flow) before the tag projection.
+        ``backbone="attn"`` runs token embeddings + sinusoidal positions
+        through N self-attention layers, with that adapter (if any)
+        injected after layer ``attn_fusion_layer`` (mid-stack, the
+        CC/LEBert.py:141-196 information flow), then a seeded projection.
+        O bias, START/STOP mask and the additive lexicon boost apply as in
+        the MLP backbone (seeded weights carry no label signal)."""
         L = len(tokens)
-        X = (np.stack([self._embed(t) for t in tokens])
-             + sinusoidal_positions(L, self.cfg.embed_dim))
+        X = np.stack([self._embed(t) for t in tokens])
         spans = list(self.trie.spans(tokens,
                                      max_words=self.cfg.max_word_num))
-        hook = None
         if self.fusion is not None:
-            from ccnerx_ray.model.fusion import position_word_slots
-            slots = position_word_slots(spans, L, self.cfg.max_word_num)
-            Wn = self.cfg.max_word_num
-            Wm = np.zeros((L, Wn, self.cfg.embed_dim))
-            mask = np.zeros((L, Wn))
-            for k, words in enumerate(slots):
-                for j, w in enumerate(words):
-                    Wm[k, j] = self._word_embed(w)
-                    mask[k, j] = 1.0
+            Wm, mask = self._matched_words(spans, L)
+        if self.encoder is not None:
+            from ccnerx_ray.model.attention import sinusoidal_positions
 
-            def hook(H):
-                return self.fusion.fuse(H, Wm, mask)
-
-        H = self.encoder.forward(X, fusion_hook=hook,
-                                 fusion_layer=self.cfg.attn_fusion_layer)
-        e = H @ self.Wp + self.bp
-        e[:, self.tag2id["O"]] += self.o_bias
-        e[:, -2:] = IMPOSSIBLE
-        self._apply_boost(e, spans)
+            hook = None
+            if self.fusion is not None:
+                def hook(H):
+                    return self.fusion.fuse(H, Wm, mask)
+            H = self.encoder.forward(
+                X + sinusoidal_positions(L, self.cfg.embed_dim),
+                fusion_hook=hook, fusion_layer=self.cfg.attn_fusion_layer)
+            e = H @ self.Wp + self.bp
+        else:
+            H = np.tanh(X @ self.W1 + self.b1)
+            e = self.fusion.fuse(H, Wm, mask) @ self.W2 + self.b2
+        self._apply_boost(self._tag_scores(e), spans)
         return e
 
     # --- emissions ------------------------------------------------------
@@ -335,44 +314,25 @@ class TaggerModel:
         """Per-position unary scores [L, num_tags+2] = backbone(embedding)
         + lexicon-fusion label priors + O bias; START/STOP columns
         impossible."""
-        L = len(tokens)
-        T = self.num_tags + 2
-        if L == 0:
-            return np.zeros((0, T))
-        if self.encoder is not None:
-            return self._attn_emissions(tokens)
-        if self.fusion is not None:
-            return self._fused_emissions(tokens)
-        X = np.stack([self._embed(t) for t in tokens])
-        e = np.tanh(X @ self.W1 + self.b1) @ self.W2 + self.b2
-        e[:, self.tag2id["O"]] += self.o_bias
-        e[:, -2:] = IMPOSSIBLE  # never emit START/STOP mid-sequence
-
-        # lexicon fusion: candidate spans from the trie, labels from catalog
-        boost = self.cfg.lexicon_boost
-        for start, end, word in self.trie.spans(tokens, max_words=self.cfg.max_word_num):
-            lab = self.catalog.label(word)
-            if lab is None:
-                continue
-            n = end - start
-            if n == 1:
-                e[start, self.tag2id[f"S-{lab}"]] += boost
-            else:
-                e[start, self.tag2id[f"B-{lab}"]] += boost
-                for k in range(start + 1, end - 1):
-                    e[k, self.tag2id[f"I-{lab}"]] += boost
-                e[end - 1, self.tag2id[f"E-{lab}"]] += boost
+        if not tokens:
+            return np.zeros((0, self.num_tags + 2))
+        if self.fusion is not None or self.encoder is not None:
+            return self._contextual_emissions(tokens)
+        e = self._base_rows(tokens)
+        self._apply_boost(e, self.trie.spans(
+            tokens, max_words=self.cfg.max_word_num))
         return e
 
-    def _base_rows(self, uniq_tokens: list[str]) -> np.ndarray:
-        """[U, T] base emission rows (MLP + O bias + START/STOP mask),
-        cache-assisted; new tokens run through ONE batched MLP. Row values
-        are bit-identical to the per-segment path (row-wise matmul is
-        row-independent)."""
+    def _base_rows(self, tokens: list[str]) -> np.ndarray:
+        """[len(tokens), T] MLP-backbone rows (MLP + O bias + START/STOP
+        mask), cache-assisted; tokens not yet cached run through ONE
+        batched MLP. A token's row may differ in the last bit between batch
+        shapes (the matmul kernel depends on the shape); the cache keeps
+        the first row computed."""
         T = self.num_tags + 2
-        out = np.empty((len(uniq_tokens), T), dtype=np.float64)
+        out = np.empty((len(tokens), T), dtype=np.float64)
         missing: list[tuple[int, str]] = []
-        for u, tok in enumerate(uniq_tokens):
+        for u, tok in enumerate(tokens):
             row = self._row_cache.get(tok)
             if row is None:
                 missing.append((u, tok))
@@ -380,9 +340,8 @@ class TaggerModel:
                 out[u] = row
         if missing:
             X = np.stack([self._embed(t) for _, t in missing])
-            E = np.tanh(X @ self.W1 + self.b1) @ self.W2 + self.b2
-            E[:, self.tag2id["O"]] += self.o_bias
-            E[:, -2:] = IMPOSSIBLE
+            E = self._tag_scores(np.tanh(X @ self.W1 + self.b1) @ self.W2
+                                 + self.b2)
             for k, (u, tok) in enumerate(missing):
                 out[u] = E[k]
                 if len(self._row_cache) < 500_000:
@@ -410,48 +369,32 @@ class TaggerModel:
         if self.fusion is not None or self.encoder is not None:
             # LEBert / attention mode: emissions are position-contextual,
             # so the per-token row cache does not apply
-            efn = (self._attn_emissions if self.encoder is not None
-                   else self._fused_emissions)
             feats = np.zeros((B, L, T))
             masks = np.zeros((B, L))
             for i, seg in enumerate(segments):
                 if seg:
-                    feats[i, :len(seg)] = efn(seg)
+                    feats[i, :len(seg)] = self._contextual_emissions(seg)
                     masks[i, :len(seg)] = 1.0
-            paths = viterbi_decode(feats, masks, self.crf)
-            return [[self.tags[t] for t in path] for path in paths]
-
-        uniq: dict[str, int] = {}
-        for seg in segments:
-            for t in seg:
-                if t not in uniq:
-                    uniq[t] = len(uniq)
-        base = self._base_rows(list(uniq))
-
-        ids = np.zeros((B, L), dtype=np.int64)
-        masks = np.zeros((B, L), dtype=np.float64)
-        for i, seg in enumerate(segments):
-            n = len(seg)
-            if n:
-                ids[i, :n] = [uniq[t] for t in seg]
-                masks[i, :n] = 1.0
-        feats = base[ids]                     # [B, L, T] (copy via gather)
-        feats[masks == 0.0] = 0.0             # padded positions stay zero
-
-        # lexicon fusion: sparse additive label priors per candidate span
-        boost = self.cfg.lexicon_boost
-        for i, seg in enumerate(segments):
-            for start, end, word in self.trie.spans(seg, max_words=self.cfg.max_word_num):
-                lab = self.catalog.label(word)
-                if lab is None:
-                    continue
-                if end - start == 1:
-                    feats[i, start, self.tag2id[f"S-{lab}"]] += boost
-                else:
-                    feats[i, start, self.tag2id[f"B-{lab}"]] += boost
-                    for k in range(start + 1, end - 1):
-                        feats[i, k, self.tag2id[f"I-{lab}"]] += boost
-                    feats[i, end - 1, self.tag2id[f"E-{lab}"]] += boost
+        else:
+            uniq: dict[str, int] = {}
+            for seg in segments:
+                for t in seg:
+                    if t not in uniq:
+                        uniq[t] = len(uniq)
+            base = self._base_rows(list(uniq))
+            ids = np.zeros((B, L), dtype=np.int64)
+            masks = np.zeros((B, L), dtype=np.float64)
+            for i, seg in enumerate(segments):
+                n = len(seg)
+                if n:
+                    ids[i, :n] = [uniq[t] for t in seg]
+                    masks[i, :n] = 1.0
+            feats = base[ids]                     # [B, L, T] (copy via gather)
+            feats[masks == 0.0] = 0.0             # padded positions stay zero
+            # lexicon fusion: sparse additive label priors per candidate span
+            for i, seg in enumerate(segments):
+                self._apply_boost(feats[i], self.trie.spans(
+                    seg, max_words=self.cfg.max_word_num))
 
         paths = viterbi_decode(feats, masks, self.crf)
         return [[self.tags[t] for t in path] for path in paths]

@@ -22,10 +22,10 @@ _PRIORITY = [
     # first-class ops displace rows whose oracles are SHARED with
     # siblings that remain in the window. kg_triples_ckpt — r4-gate-
     # verified, oracle ≡ kg_triples which stays, checkpoint path
-    # additionally pytest-pinned (roundtrip + torch adapter) — yields
+    # additionally pytest-pinned (roundtrip) — yields
     # its slot; kg_triples_lebert — r4-gate-verified, its fusion stack
     # gate-covered end-to-end through kg_triples_attn which stays,
-    # numpy↔torch parity pytest-pinned — yields its slot; both join
+    # fixture spans pytest-pinned — yields its slot; both join
     # the tail and stay swept at both scales)
     "kg_triples", "kg_mentions", "kg_mentions_join", "kg_entities",
     "kg_entities_store", "kg_label_dist", "kg_aliases",

@@ -2172,10 +2172,8 @@ def q_kg_triples_ckpt(sf_dir: str):
     construct once, load ``.pth``, serve batches). The checkpoint holds
     the same parameters the seeded model derives, so the output equals
     ``kg_triples`` and shares its closed-form oracle — proving the
-    weight-loading path changes nothing but the weight SOURCE. A GPU
-    deployment swaps ``backend="torch"`` + ``num_gpus=1`` on the same
-    call (torch adapter reads the same npz; skip-if-no-torch tested).
-    The fixed pool is sized from the session's CPU count."""
+    weight-loading path changes nothing but the weight SOURCE. The
+    fixed pool is sized from the session's CPU count."""
     import os
 
     import ray

@@ -90,19 +90,18 @@ class MentionTagger:
     ``emit="triples"`` / ``"mentions"`` FUSE link scoring and triple
     emission / mention flattening into the same call (no nested
     intermediates in the object store; equality with the three stages
-    composed one after another is test-enforced)."""
+    composed one after another is test-enforced); ``"mentions_raw"``
+    flattens the unlinked mentions."""
+
+    EMITS = ("segments", "triples", "mentions", "mentions_raw")
 
     def __init__(self, catalog_pairs: list[tuple[tuple[str, ...], str]] | None = None,
                  cfg: PipelineConfig | None = None, catalog_ref=None,
-                 emit: str = "segments", backend: str = "numpy",
-                 device: str = "cpu", checkpoint_path: str | None = None,
+                 emit: str = "segments", checkpoint_path: str | None = None,
                  extra_lexicon_ref=None):
         """``catalog_pairs`` inline for tests; ``catalog_ref`` a ``ray.put``
         handle for production (broadcast once, read per instance).
-        ``backend="torch"`` swaps in the torch emission model
-        (:mod:`ccnerx_ray.model.torch_adapter`) — pair it with
-        ``map_batches(…, num_gpus=1)`` and ``device="cuda"`` for the GPU
-        pool; decode semantics are backend-independent.
+        ``emit`` must be one of :attr:`EMITS` (``ValueError`` otherwise).
         ``checkpoint_path`` loads on-disk weights ONCE per actor (the
         reference's predictor regime, ``predicter.py:52-83`` — every
         actor of the pool reads the artifact in ``__init__``, never per
@@ -111,6 +110,11 @@ class MentionTagger:
         words (token tuples) beyond the catalog — the reference's
         1-1.5M-entry ``max_scan_num`` lexicon regime (``Readme.md:59``,
         ``le_loader.py:25``); broadcast once, trie built per actor."""
+        if emit not in self.EMITS:
+            # a typo ('Triples') silently returning nested segment rows
+            # would be invisible downstream — fail loudly instead
+            raise ValueError(f"unknown emit {emit!r}; expected one of "
+                             f"{self.EMITS}")
         self.cfg = cfg or PipelineConfig()
         if catalog_ref is not None:
             import ray
@@ -124,20 +128,8 @@ class MentionTagger:
         if extra_lexicon_ref is not None:
             import ray
             extra_lexicon = ray.get(extra_lexicon_ref)
-        if backend == "torch":
-            if extra_lexicon is not None:
-                raise ValueError("extra_lexicon is numpy-backend-only")
-            from ccnerx_ray.model.torch_adapter import TorchTaggerModel
-            self.model = TorchTaggerModel(catalog, self.cfg, device=device,
-                                          weights=weights)
-        elif backend == "numpy":
-            self.model = TaggerModel(catalog, self.cfg, weights=weights,
-                                     extra_lexicon=extra_lexicon)
-        else:
-            # a typo ('Torch', 'cuda') silently running the numpy model on
-            # an idle GPU pool would be invisible — fail loudly instead
-            raise ValueError(f"unknown tagger backend {backend!r}; "
-                             "expected 'numpy' or 'torch'")
+        self.model = TaggerModel(catalog, self.cfg, weights=weights,
+                                 extra_lexicon=extra_lexicon)
         self.emit = emit
         if emit in ("triples", "mentions"):
             from ccnerx_ray.stages.link import LinkScorer

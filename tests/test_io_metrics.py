@@ -1,4 +1,4 @@
-"""Readers/writers (S1/S2/S7, K6/K8) and distributed seqeval metrics."""
+"""Readers (S1/S2/S7) and distributed seqeval metrics."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from ccnerx_ray.functions.metrics import (classification_report, finalize,
                                           partial_counts, seqeval_metrics)
 from ccnerx_ray.io.readers import (parse_conll, parse_enamex, read_conll,
                                    read_jsonl_corpus, read_tags_list)
-from ccnerx_ray.io.writers import (jsonl_to_conll_payloads, merge_label_lists,
-                                   tag_list_dataset)
 
 
 @pytest.fixture()
@@ -64,21 +62,6 @@ def test_tags_list_roundtrip(tmp_path):
     p = tmp_path / "tags.txt"
     p.write_text("O\nB-PER\nE-PER\n")
     assert read_tags_list(str(p)) == ["O", "B-PER", "E-PER"]
-
-
-def test_converters_and_merge(ray_session, tmp_path):
-    import ray.data
-    ds = ray.data.from_items([
-        {"text": ["a", "b"], "label": ["O", "S-PER"]},
-        {"text": ["c"], "label": ["B-LOC"]},
-    ])
-    conll = jsonl_to_conll_payloads(
-        pa.Table.from_pylist(ds.take_all()))
-    assert conll.column("conll").to_pylist()[0] == "a O\nb S-PER\n"
-    tags = [r["tag"] for r in tag_list_dataset(ds).take_all()]
-    assert tags == sorted({"O", "S-PER", "B-LOC"})
-    assert merge_label_lists(["O", "B-PER"], ["O", "B-LOC", "B-PER"]) == \
-        ["O", "B-PER", "B-LOC"]
 
 
 # ----------------------------------------------------------------- metrics

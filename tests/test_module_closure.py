@@ -27,7 +27,7 @@ ENTRY_POINTS = ("jobs/*.py", "perfbench/*.py", "bench.py",
                 "__ray_entry__.py")
 TEST_ONLY = frozenset({
     "ccnerx_ray.functions.metrics", "ccnerx_ray.io.readers",
-    "ccnerx_ray.io.writers", "ccnerx_ray.stages.featurize",
+    "ccnerx_ray.stages.featurize",
 })
 
 

@@ -769,7 +769,7 @@ def test_wav_zero_data_and_backend_validation():
     wav = parse_wav_header(make_wav(8000, 1, 16, n_data_bytes=0))
     assert wav["duration_ms"] == 0          # empty audio, not 'unknown'
     with pytest.raises(ValueError):
-        MentionTagger(catalog_pairs=[], backend="Torch")
+        MentionTagger(catalog_pairs=[], emit="Triples")
 
 
 # ----------------------------------------------------------- adaptive join

@@ -1,12 +1,16 @@
 """Deterministic tagger: planted entities decode; batch independence."""
 
+import numpy as np
+import pytest
+
 from ccnerx_ray.config import PipelineConfig
 from ccnerx_ray.functions.bioes import get_entities
+from ccnerx_ray.model.crf import viterbi_decode
 from ccnerx_ray.model.tagger import TaggerModel
 from ccnerx_ray.state.catalog import EntityCatalog
 
 
-def make_model():
+def make_model(cfg=PipelineConfig()):
     cat = EntityCatalog.from_pairs([
         (("parse_cfg",), "FUNC"),
         (("Widget",), "CLASS"),
@@ -14,7 +18,7 @@ def make_model():
         (("libfoo", ".", "parse_cfg"), "FUNC"),
         (("MAX_N",), "CONST"),
     ])
-    return TaggerModel(cat, PipelineConfig())
+    return TaggerModel(cat, cfg)
 
 
 def test_single_token_entity_decodes():
@@ -73,6 +77,31 @@ def test_empty_segment():
     m = make_model()
     assert m.tag_segments([[]]) == [[]]
     assert m.tag_segments([]) == []
+
+
+@pytest.mark.parametrize("backbone", ["mlp", "attn"])
+@pytest.mark.parametrize("fusion", ["boost", "lebert"])
+def test_batched_tags_equal_decoded_emissions(backbone, fusion):
+    """The batched path (row-cache gather in the MLP backbone) and the
+    per-segment ``emissions`` path decode the same tags, each on a fresh
+    model so neither reads rows the other cached."""
+    cfg = PipelineConfig(backbone=backbone, fusion=fusion)
+    base = ["import", "libfoo", ".", "parse_cfg", "x", "=", "Widget", "(",
+            "MAX_N", ")", "parse_cfg", "y", "libfoo", "libfoo"]
+    batch = [base[i % 5:i % 5 + n] * (1 + i % 3) for i, n in
+             enumerate([3, 9, 0, 14, 1, 7, 5, 12, 2, 10, 6])]
+    assert [] in batch
+    batched = make_model(cfg).tag_segments(batch)
+    per_seg, solo = make_model(cfg), make_model(cfg)
+    for i, seg in enumerate(batch):
+        e = per_seg.emissions(seg)
+        assert e.shape == (len(seg), per_seg.num_tags + 2)
+        decoded = ([per_seg.tags[t] for t in viterbi_decode(
+            e[None], np.ones((1, len(seg))), per_seg.crf)[0]]
+            if seg else [])
+        assert batched[i] == decoded, i
+        assert batched[i] == solo.tag_segments([seg])[0], i
+    assert any(t != "O" for tags in batched for t in tags)
 
 
 def test_checkpoint_roundtrip_equals_seeded(tmp_path):
