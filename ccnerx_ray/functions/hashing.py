@@ -40,8 +40,14 @@ def sha256_column(col: pa.Array | pa.ChunkedArray) -> pa.Array:
 
 
 def stable_hash64_column(col: pa.Array | pa.ChunkedArray) -> pa.Array:
-    vals = col.to_pylist()
-    return pa.array([None if v is None else stable_hash64(v) for v in vals], type=pa.int64())
+    """:func:`stable_hash64` of every value (null stays null): one blake2b
+    per distinct value of the column's dictionary, then a ``take``."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    enc = col.dictionary_encode()
+    hashes = pa.array([stable_hash64(v) for v in enc.dictionary.to_pylist()],
+                      type=pa.int64())
+    return hashes.take(enc.indices)
 
 
 def entity_id(norm_key: str) -> str:

@@ -61,10 +61,18 @@ def published(out_dir: str):
     ``.{name}.tmp-{pid}`` next to ``out_dir``; a clean exit renames it onto
     ``out_dir`` in one rename, a raise removes it. The leading ``.`` keeps
     the stage out of ``ray.data.read_parquet`` (which skips ``.``/``_``
-    prefixes) and out of ``chunk=`` walks."""
+    prefixes) and out of ``chunk=`` walks. Stages of ``out_dir`` left by
+    runs whose process is gone (killed before they could clean up) are
+    removed first; a live process's stage is left alone."""
     refuse_existing(out_dir)
     parent, name = os.path.split(os.path.abspath(out_dir))
-    stage = os.path.join(parent, f".{name}.tmp-{os.getpid()}")
+    prefix = f".{name}.tmp-"
+    for entry in os.listdir(parent) if os.path.isdir(parent) else []:
+        pid = entry[len(prefix):]
+        if (entry.startswith(prefix) and pid.isdigit()
+                and not _pid_alive(int(pid))):
+            shutil.rmtree(os.path.join(parent, entry), ignore_errors=True)
+    stage = os.path.join(parent, f"{prefix}{os.getpid()}")
     shutil.rmtree(stage, ignore_errors=True)
     os.makedirs(stage)
     try:
@@ -73,6 +81,17 @@ def published(out_dir: str):
         shutil.rmtree(stage, ignore_errors=True)
         raise
     os.rename(stage, out_dir)   # replaces an empty out_dir
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether process ``pid`` exists (signal 0 probes without sending)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True     # exists, owned by another user
+    return True
 
 
 def write_triple_store(triples, out_dir: str, num_partitions: int = 16,

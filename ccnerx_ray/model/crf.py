@@ -46,48 +46,60 @@ class CRFParams:
         return cls(trans, start_idx, stop_idx)
 
 
-def viterbi_decode(features: np.ndarray, masks: np.ndarray,
-                   params: CRFParams) -> list[list[int]]:
-    """Batch viterbi decode.
+def viterbi_paths(features: np.ndarray, masks: np.ndarray,
+                  params: CRFParams) -> tuple[np.ndarray, np.ndarray]:
+    """Batch viterbi decode to an id matrix.
 
     :param features: [B, L, T] unary scores already in the T = num_tags+2
         space (the reference's ``fc`` projection output, crf.py:44-45).
     :param masks: [B, L] 0/1.
-    :return: per-row best tag paths (length = row's mask sum).
+    :return: ``(paths, lengths)``: row ``b``'s best tag path is
+        ``paths[b, :lengths[b]]`` (``lengths`` = the row's mask sum); the
+        rest of the row is 0.
     """
     B, L, T = features.shape
     trans = params.transitions
-    bps = np.zeros((B, L, T), dtype=np.int64)
+    bps = np.zeros((L, B, T), dtype=np.intp)
 
     max_score = np.full((B, T), IMPOSSIBLE, dtype=np.float64)
     max_score[:, params.start_idx] = 0.0
 
-    # preallocated step buffers — the loop allocates nothing per iteration
-    # (allocator traffic is what limits 32-way concurrency on one node)
+    # preallocated step buffer — allocator traffic is what limits 32-way
+    # concurrency on one node
     acc = np.empty((B, T, T), dtype=np.float64)
-    acc_max = np.empty((B, T), dtype=np.float64)
+    rows = np.arange(B)[:, None]
+    cols = np.arange(T)[None, :]
 
     for t in range(L):
         mask_t = masks[:, t] != 0.0                              # [B]
         np.add(max_score[:, None, :], trans[None, :, :], out=acc)  # [B, to, from]
         bp_t = np.argmax(acc, axis=-1)                           # first-max, like torch
-        bps[:, t, :] = bp_t
-        np.max(acc, axis=-1, out=acc_max)
-        acc_max += features[:, t]
+        bps[t] = bp_t
+        # the max is the value at the argmax: one reduction, not two
+        step = acc[rows, cols, bp_t]
+        step += features[:, t]
         # masked steps carry max_score forward unchanged (crf.py:106-114)
-        np.copyto(max_score, acc_max, where=mask_t[:, None])
+        np.copyto(max_score, step, where=mask_t[:, None])
 
     max_score = max_score + trans[params.stop_idx][None, :]
-    best_tag = np.argmax(max_score, axis=-1)
+    cur = np.argmax(max_score, axis=-1)
+    lengths = masks.sum(axis=1).astype(np.intp)
 
-    paths: list[list[int]] = []
-    for b in range(B):
-        tag = int(best_tag[b])
-        seq_len = int(masks[b].sum())
-        path = [tag]
-        for bps_t in bps[b, :seq_len][::-1]:
-            tag = int(bps_t[tag])
-            path.append(tag)
-        # drop the start tag and reverse (crf.py:131-132: best_path[-2::-1])
-        paths.append(path[-2::-1])
-    return paths
+    # backtrack all rows at once (crf.py:116-133): a row's last position
+    # holds its best final tag, and position t holds bps[t + 1] applied to
+    # the tag at t + 1; the start tag bps[0] yields is dropped
+    paths = np.zeros((B, L), dtype=np.intp)
+    for t in range(L - 1, -1, -1):
+        if t + 1 < L:
+            cur = np.where(t + 1 < lengths, bps[t + 1, rows[:, 0], cur], cur)
+        paths[:, t] = cur
+    paths[np.arange(L)[None, :] >= lengths[:, None]] = 0
+    return paths, lengths
+
+
+def viterbi_decode(features: np.ndarray, masks: np.ndarray,
+                   params: CRFParams) -> list[list[int]]:
+    """:func:`viterbi_paths` as per-row tag-id lists (length = row's mask
+    sum)."""
+    paths, lengths = viterbi_paths(features, masks, params)
+    return [paths[b, :n].tolist() for b, n in enumerate(lengths)]

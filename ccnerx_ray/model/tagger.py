@@ -14,10 +14,12 @@ Plays the role of the reference's LEBert + BiLSTM + CRF inference stack:
 * transitions are seeded and structured to the BIOES grammar, decode is the
   reference-exact viterbi (:mod:`ccnerx_ray.model.crf`).
 
-All weights derive from ``PipelineConfig.model_seed`` alone, so every actor,
-every retry and the single-process oracle produce identical tags for
-identical token sequences regardless of batch composition (SURVEY.md §7 M3
-"decode determinism across batch boundaries").
+All weights derive from ``PipelineConfig.model_seed`` alone, and a token's
+emission row is computed by a fixed-order sum whose value does not depend on
+how many rows are computed with it, so every actor, every retry and the
+single-process oracle produce bit-identical emissions, and hence identical
+tags, for identical token sequences regardless of batch composition
+(SURVEY.md §7 M3 "decode determinism across batch boundaries").
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import hashlib
 import numpy as np
 
 from ccnerx_ray.config import PipelineConfig, bioes_tag_list
-from ccnerx_ray.model.crf import CRFParams, IMPOSSIBLE, viterbi_decode
+from ccnerx_ray.model.crf import CRFParams, IMPOSSIBLE, viterbi_paths
 from ccnerx_ray.state.catalog import EntityCatalog
 from ccnerx_ray.state.trie import Trie
 
@@ -262,18 +264,23 @@ class TaggerModel:
 
     def _apply_boost(self, e: np.ndarray, spans) -> None:
         """Additive lexicon label priors on candidate spans (in place)."""
-        boost = self.cfg.lexicon_boost
+        pos: list[int] = []
+        tag: list[int] = []
         for start, end, word in spans:
             lab = self.catalog.label(word)
             if lab is None:
                 continue
             if end - start == 1:
-                e[start, self.tag2id[f"S-{lab}"]] += boost
+                pos.append(start)
+                tag.append(self.tag2id[f"S-{lab}"])
             else:
-                e[start, self.tag2id[f"B-{lab}"]] += boost
-                for k in range(start + 1, end - 1):
-                    e[k, self.tag2id[f"I-{lab}"]] += boost
-                e[end - 1, self.tag2id[f"E-{lab}"]] += boost
+                pos.extend(range(start, end))
+                tag.append(self.tag2id[f"B-{lab}"])
+                tag.extend([self.tag2id[f"I-{lab}"]] * (end - start - 2))
+                tag.append(self.tag2id[f"E-{lab}"])
+        # add.at accumulates repeated cells, like one += per span
+        np.add.at(e, (np.asarray(pos, dtype=np.intp),
+                      np.asarray(tag, dtype=np.intp)), self.cfg.lexicon_boost)
 
     def _contextual_emissions(self, tokens: list[str]) -> np.ndarray:
         """Unary scores of the position-contextual modes. ``fusion="lebert"``
@@ -325,10 +332,11 @@ class TaggerModel:
 
     def _base_rows(self, tokens: list[str]) -> np.ndarray:
         """[len(tokens), T] MLP-backbone rows (MLP + O bias + START/STOP
-        mask), cache-assisted; tokens not yet cached run through ONE
-        batched MLP. A token's row may differ in the last bit between batch
-        shapes (the matmul kernel depends on the shape); the cache keeps
-        the first row computed."""
+        mask), cache-assisted; tokens not yet cached run through one
+        vectorized MLP. Both layers are sums in a fixed index order (one
+        elementwise multiply-add per input unit), not a BLAS matmul whose
+        blocking depends on the batch shape, so a token's row is
+        bit-identical however many rows are computed with it."""
         T = self.num_tags + 2
         out = np.empty((len(tokens), T), dtype=np.float64)
         missing: list[tuple[int, str]] = []
@@ -340,8 +348,8 @@ class TaggerModel:
                 out[u] = row
         if missing:
             X = np.stack([self._embed(t) for _, t in missing])
-            E = self._tag_scores(np.tanh(X @ self.W1 + self.b1) @ self.W2
-                                 + self.b2)
+            E = self._tag_scores(_dense(np.tanh(_dense(X, self.W1, self.b1)),
+                                        self.W2, self.b2))
             for k, (u, tok) in enumerate(missing):
                 out[u] = E[k]
                 if len(self._row_cache) < 500_000:
@@ -350,51 +358,73 @@ class TaggerModel:
 
     # --- decode ---------------------------------------------------------
     def tag_segments(self, segments: list[list[str]]) -> list[list[str]]:
-        """Tag a batch of token segments → BIOES tag strings per segment.
-
-        Pads to the batch max length and decodes with masks, like the
-        reference's batched predict (``predicter.py:130-171``); per-row
-        output is independent of batch composition. Emission assembly is
-        fully vectorized: one gather from the per-token row cache plus
-        sparse lexicon-boost additions (scale note: the per-batch Python
-        work is O(trie spans), not O(tokens))."""
+        """Tag a batch of token segments → BIOES tag strings per segment
+        (:meth:`tag_ids` over a dictionary of the batch's tokens)."""
         if not segments:
             return []
-        B = len(segments)
-        L = max((len(s) for s in segments), default=0)
-        if L == 0:
-            return [[] for _ in segments]
+        vocab: dict[str, int] = {}
+        codes = np.fromiter((vocab.setdefault(t, len(vocab))
+                             for seg in segments for t in seg), dtype=np.intp)
+        lengths = np.fromiter((len(seg) for seg in segments), dtype=np.intp,
+                              count=len(segments))
+        ids = self.tag_ids(codes, lengths, list(vocab))
+        return [[self.tags[t] for t in part.tolist()]
+                for part in np.split(ids, np.cumsum(lengths)[:-1])]
+
+    def tag_ids(self, codes: np.ndarray, lengths: np.ndarray,
+                vocab: list[str]) -> np.ndarray:
+        """Decode dictionary-encoded segments → one tag id (an index into
+        ``self.tags``) per token.
+
+        ``vocab`` holds the distinct tokens, ``codes`` the segments'
+        tokens concatenated, as indices into ``vocab`` (the shape
+        ``pa.Array.dictionary_encode`` gives), and ``lengths`` each
+        segment's token count. Segments are decoded in chunks of
+        ``tagger_batch_size`` sorted by length (little viterbi padding),
+        padded and masked like the reference's batched predict
+        (``predicter.py:130-171``); a segment's tags do not depend on the
+        chunk it lands in. In the MLP mode emissions are one gather from
+        the per-token rows of ``vocab`` plus sparse lexicon boosts."""
+        codes = np.asarray(codes, dtype=np.intp)
+        lengths = np.asarray(lengths, dtype=np.intp)
+        out = np.zeros(len(codes), dtype=np.intp)
+        starts = np.cumsum(lengths) - lengths
+        tokens = np.asarray(vocab, dtype=object)[codes].tolist()
+        contextual = self.fusion is not None or self.encoder is not None
+        # position-contextual modes have no per-token rows
+        base = None if contextual else self._base_rows(vocab)
+        order = np.argsort(lengths, kind="stable")
+        order = order[lengths[order] > 0]
         T = self.num_tags + 2
-
-        if self.fusion is not None or self.encoder is not None:
-            # LEBert / attention mode: emissions are position-contextual,
-            # so the per-token row cache does not apply
-            feats = np.zeros((B, L, T))
-            masks = np.zeros((B, L))
-            for i, seg in enumerate(segments):
-                if seg:
+        B = self.cfg.tagger_batch_size
+        for off in range(0, len(order), B):
+            idxs = order[off:off + B]
+            L = int(lengths[idxs].max())
+            valid = np.arange(L)[None, :] < lengths[idxs][:, None]
+            flat = np.where(valid, starts[idxs][:, None] + np.arange(L), 0)
+            segs = [tokens[a:a + n] for a, n in
+                    zip(starts[idxs].tolist(), lengths[idxs].tolist())]
+            if contextual:
+                feats = np.zeros((len(idxs), L, T))
+                for i, seg in enumerate(segs):
                     feats[i, :len(seg)] = self._contextual_emissions(seg)
-                    masks[i, :len(seg)] = 1.0
-        else:
-            uniq: dict[str, int] = {}
-            for seg in segments:
-                for t in seg:
-                    if t not in uniq:
-                        uniq[t] = len(uniq)
-            base = self._base_rows(list(uniq))
-            ids = np.zeros((B, L), dtype=np.int64)
-            masks = np.zeros((B, L), dtype=np.float64)
-            for i, seg in enumerate(segments):
-                n = len(seg)
-                if n:
-                    ids[i, :n] = [uniq[t] for t in seg]
-                    masks[i, :n] = 1.0
-            feats = base[ids]                     # [B, L, T] (copy via gather)
-            feats[masks == 0.0] = 0.0             # padded positions stay zero
-            # lexicon fusion: sparse additive label priors per candidate span
-            for i, seg in enumerate(segments):
-                self._apply_boost(feats[i], self.trie.spans(
-                    seg, max_words=self.cfg.max_word_num))
+            else:
+                feats = base[codes[flat]]            # [B, L, T] gather
+                feats[~valid] = 0.0                  # padded positions stay zero
+                # lexicon fusion: sparse additive label priors per span
+                for i, seg in enumerate(segs):
+                    self._apply_boost(feats[i], self.trie.spans(
+                        seg, max_words=self.cfg.max_word_num))
+            paths, _ = viterbi_paths(feats, valid.astype(np.float64), self.crf)
+            out[flat[valid]] = paths[valid]
+        return out
 
-        paths = viterbi_decode(feats, masks, self.crf)
-        return [[self.tags[t] for t in path] for path in paths]
+
+def _dense(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``X @ W + b`` summed over the input units in index order, one
+    elementwise multiply-add each: every output element gets the same
+    rounding whatever the number of rows."""
+    acc = X[:, :1] * W[0]
+    for d in range(1, W.shape[0]):
+        acc += X[:, d:d + 1] * W[d]
+    return acc + b

@@ -9,9 +9,12 @@ loader row-by-row). The oracle:
   1) — so agreement with the Ray pipeline also proves decode is independent
   of batch composition (SURVEY.md §7 M3);
 * uses plain Python loops and dicts — no Ray, no Arrow;
-* shares only the *pure* semantic functions (tokenizer, BIOES codec, model
-  weights derivation, triple rules) with the pipeline, not any pipeline
-  plumbing.
+* shares only the tokenizer, the surface normalizer and the tagger model
+  with the pipeline. Span extraction (``get_entities`` through
+  ``extract_mention_rows``), linking (``LinkScorer.link_one``) and triple
+  emission (``segment_triples``) are per-row reference implementations
+  that only the oracle calls; the pipeline's columnar twins are separate
+  code, so parity compares two implementations of each rule.
 
 ``prf`` computes set precision/recall/F1 over distinct (subj, pred, obj) —
 the BASELINE.json metric (target ≥ 0.95; we hold it at 1.0).

@@ -36,14 +36,17 @@ than ``list<string>`` keeps the column oracle-hashable).
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ccnerx_ray.functions.tokenize import normalize_surface
 
 
 class LinkScorer:
     """Batch callable; catalog dicts built once per instance. Operates on
-    the nested segment-mention rows (list columns) from MentionTagger."""
+    the nested segment-mention rows (list columns) from MentionTagger,
+    looking up each distinct surface and norm key of a batch once."""
 
     def __init__(self, catalog_pairs: list[tuple[tuple[str, ...], str]] | None = None,
                  max_label_num: int = 3):
@@ -59,7 +62,9 @@ class LinkScorer:
 
     def link_one(self, surface: str, norm_key: str,
                  label: str) -> tuple[float, list[str], bool]:
-        """→ (score, candidate labels ≤ max_label_num, in_catalog)."""
+        """→ (score, candidate labels ≤ max_label_num, in_catalog). The
+        per-mention reference the oracle composes; ``__call__`` scores a
+        whole batch the same way."""
         cands = self.by_surface.get(surface)
         if cands is not None:
             return 1.0, cands[:self.max_label_num], True
@@ -69,23 +74,46 @@ class LinkScorer:
         return 0.0, [label], False
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        surfaces = batch.column("surfaces").to_pylist()
-        norm_keys = batch.column("norm_keys").to_pylist()
-        labels = batch.column("labels").to_pylist()
-        scores, linked, in_cat, cands, ncands = [], [], [], [], []
-        for ss, nks, labs in zip(surfaces, norm_keys, labels):
-            row = [self.link_one(s, nk, lab) for s, nk, lab in zip(ss, nks, labs)]
-            scores.append([r[0] for r in row])
-            linked.append([r[1][0] for r in row])
-            in_cat.append([r[2] for r in row])
-            cands.append(["|".join(r[1]) for r in row])
-            ncands.append([len(r[1]) for r in row])
-        return (batch
-                .append_column("link_scores", pa.array(scores, pa.list_(pa.float64())))
-                .append_column("linked_labels", pa.array(linked, pa.list_(pa.string())))
-                .append_column("in_catalog", pa.array(in_cat, pa.list_(pa.bool_())))
-                .append_column("cand_labels", pa.array(cands, pa.list_(pa.string())))
-                .append_column("n_cands", pa.array(ncands, pa.list_(pa.int32()))))
+        surfaces = batch.column("surfaces").combine_chunks()
+        s_hit, s_first, s_cands, s_n = self._lookup(
+            self.by_surface, pc.list_flatten(surfaces))
+        nk_hit, nk_first, nk_cands, nk_n = self._lookup(
+            self.by_norm,
+            pc.list_flatten(batch.column("norm_keys").combine_chunks()))
+        labels = pc.list_flatten(batch.column("labels").combine_chunks())
+        nk_hit &= ~s_hit
+        # exact hit → 1.0, else normalized-key hit → 0.9, else NIL with the
+        # tagger label as the one candidate
+        exact, norm = pa.array(s_hit), pa.array(nk_hit)
+        columns = {
+            "link_scores": pa.array(np.where(s_hit, 1.0,
+                                             np.where(nk_hit, 0.9, 0.0))),
+            "linked_labels": pc.if_else(exact, s_first,
+                                        pc.if_else(norm, nk_first, labels)),
+            "in_catalog": pa.array(s_hit | nk_hit),
+            "cand_labels": pc.if_else(exact, s_cands,
+                                      pc.if_else(norm, nk_cands, labels)),
+            "n_cands": pa.array(np.where(s_hit, s_n, np.where(nk_hit, nk_n, 1)),
+                                pa.int32()),
+        }
+        offsets = pc.subtract(surfaces.offsets, surfaces.offsets[0])
+        for name, values in columns.items():
+            batch = batch.append_column(
+                name, pa.ListArray.from_arrays(offsets, values))
+        return batch
+
+    def _lookup(self, table: dict[str, list[str]], keys: pa.Array):
+        """Per-mention hit mask, first candidate, pipe-joined candidates
+        and candidate count, each looked up once per distinct key."""
+        enc = keys.dictionary_encode()
+        idx = enc.indices.to_numpy()
+        distinct = enc.dictionary.to_pylist()
+        cands = [table.get(k, [])[:self.max_label_num] for k in distinct]
+        hit = np.array([k in table for k in distinct], dtype=bool)[idx]
+        first = pa.array([c[0] if c else None for c in cands], pa.string())
+        joined = pa.array(["|".join(c) for c in cands], pa.string())
+        n = np.array([len(c) for c in cands], dtype=np.int64)[idx]
+        return hit, first.take(enc.indices), joined.take(enc.indices), n
 
 
 # --------------------------------------------------------------------------

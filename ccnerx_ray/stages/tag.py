@@ -12,6 +12,19 @@ featurize → tag → span-extract are fused into one call so the wide
 ``matched_word_ids[L, W]`` intermediate never crosses the object store
 (SURVEY.md §7 "wide featurized rows ... project aggressively").
 
+The call is columnar from decode to output: the batch's tokens are
+dictionary-encoded, the model decodes them to a flat array of tag ids,
+``functions/bioes.py:entity_spans`` finds the BIOES spans over the ids
+with numpy (every ``get_entities`` quirk kept), surfaces are joined with
+Arrow kernels, and ``normalize_surface`` / ``entity_id`` run once per
+distinct surface of the batch. With ``emit="triples"`` / ``"mentions"``
+link scoring and triple emission follow in the same call, equally
+columnar; no Python loop runs per mention or triple (the per-token
+Python left is the trie's scan for candidate spans).
+``extract_mention_rows`` is the per-row reference the single-process
+oracle composes (``pipelines/oracle.py``), so oracle parity compares two
+independent implementations.
+
 Output is NESTED: one row per segment with ``list<...>`` mention columns
 (starts/ends/labels/surfaces/norm_keys/entity_ids). Keeping a segment's
 mentions inside one row makes every downstream per-segment computation
@@ -28,10 +41,13 @@ one-shuffle at 10^12-file scale).
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ccnerx_ray.config import PipelineConfig
-from ccnerx_ray.functions.bioes import get_entities, normalize_tags
+from ccnerx_ray.functions.bioes import (entity_spans, get_entities,
+                                        normalize_tags, tag_label)
 from ccnerx_ray.functions.hashing import entity_id
 from ccnerx_ray.functions.tokenize import normalize_surface
 from ccnerx_ray.model.tagger import TaggerModel
@@ -74,7 +90,8 @@ MENTION_SCHEMA = pa.schema([
 def extract_mention_rows(tokens: list[str], tags: list[str]) -> list[tuple]:
     """BIOES decode of one segment → [(start, end, label, surface, norm_key,
     entity_id)] with the reference's M-→I- normalization applied first
-    (trainer.py:211-214)."""
+    (trainer.py:211-214). The per-row reference the oracle composes;
+    :class:`MentionTagger` computes the same columns over whole batches."""
     out = []
     for start, end, label, word in get_entities(normalize_tags(tags), tokens):
         surface = " ".join(word)
@@ -130,6 +147,10 @@ class MentionTagger:
             extra_lexicon = ray.get(extra_lexicon_ref)
         self.model = TaggerModel(catalog, self.cfg, weights=weights,
                                  extra_lexicon=extra_lexicon)
+        # entity label of each tag id, as get_entities reads it
+        self._labels = pa.array([tag_label(t)
+                                 for t in normalize_tags(self.model.tags)],
+                                pa.string())
         self.emit = emit
         if emit in ("triples", "mentions"):
             from ccnerx_ray.stages.link import LinkScorer
@@ -151,30 +172,53 @@ class MentionTagger:
         return nested
 
     def _tag_batch(self, batch: pa.Table) -> pa.Table:
-        token_lists = batch.column("tokens").to_pylist()
-        # sort by length to minimize viterbi padding waste; per-row output is
-        # batch-composition-independent so restoring order is purely cosmetic
-        order = sorted(range(len(token_lists)), key=lambda i: len(token_lists[i]))
-        tag_lists: list[list[str]] = [None] * len(token_lists)  # type: ignore
-        B = self.cfg.tagger_batch_size
-        for off in range(0, len(order), B):
-            idxs = order[off:off + B]
-            for i, tags in zip(idxs, self.model.tag_segments([token_lists[i] for i in idxs])):
-                tag_lists[i] = tags
+        """Decode the batch's dictionary-encoded tokens to tag ids, find
+        the BIOES spans over the ids and build the surfaces with Arrow
+        kernels; normalization and hashing run once per distinct
+        surface."""
+        tokens = batch.column("tokens").combine_chunks()
+        flat = pc.list_flatten(tokens)
+        lengths = pc.list_value_length(tokens).fill_null(0).to_numpy()
+        enc = flat.dictionary_encode()
+        ids = self.model.tag_ids(enc.indices.to_numpy(), lengths,
+                                 enc.dictionary.to_pylist())
+        seg, start, end, tag, first = entity_spans(ids, lengths,
+                                                   self.model.tags)
+        # surface tokens of mention k: flat[offset + first_k : offset + end_k]
+        size = end - first
+        lo = (np.cumsum(lengths) - lengths)[seg] + first
+        take = np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size),
+                                                 size)
+        surfaces = pc.binary_join(pa.ListArray.from_arrays(
+            _offsets(size), flat.take(pa.array(take, pa.int64()))), " ")
+        # tokens hold no whitespace, so a surface splits back into them
+        distinct = surfaces.dictionary_encode()
+        norm = [normalize_surface(s.split(" "))
+                for s in distinct.dictionary.to_pylist()]
+        norm_keys = pa.array(norm, pa.string()).take(distinct.indices)
+        entity_ids = pa.array([entity_id(k) for k in norm],
+                              pa.string()).take(distinct.indices)
 
-        out = {name: [] for name in SEGMENT_MENTIONS_SCHEMA.names}
-        for c in PASS_THROUGH:
-            out[c] = batch.column(c).to_pylist()
-        for toks, tags in zip(token_lists, tag_lists):
-            rows = extract_mention_rows(toks, tags)
-            out["n_tokens"].append(len(toks))
-            out["starts"].append([r[0] for r in rows])
-            out["ends"].append([r[1] for r in rows])
-            out["labels"].append([r[2] for r in rows])
-            out["surfaces"].append([r[3] for r in rows])
-            out["norm_keys"].append([r[4] for r in rows])
-            out["entity_ids"].append([r[5] for r in rows])
-        return pa.Table.from_pydict(out, schema=SEGMENT_MENTIONS_SCHEMA)
+        seg_offsets = _offsets(np.bincount(seg, minlength=batch.num_rows))
+        lists = {
+            "starts": pa.array(start, pa.int32()),
+            "ends": pa.array(end, pa.int32()),
+            "labels": self._labels.take(pa.array(tag, pa.int64())),
+            "surfaces": surfaces,
+            "norm_keys": norm_keys,
+            "entity_ids": entity_ids,
+        }
+        cols = [batch.column(c).cast(SEGMENT_MENTIONS_SCHEMA.field(c).type)
+                for c in PASS_THROUGH]
+        cols.append(pa.array(lengths, pa.int32()))
+        cols.extend(pa.ListArray.from_arrays(seg_offsets, v)
+                    for v in lists.values())
+        return pa.Table.from_arrays(cols, schema=SEGMENT_MENTIONS_SCHEMA)
+
+
+def _offsets(sizes: np.ndarray) -> pa.Array:
+    """List offsets for consecutive runs of ``sizes`` values."""
+    return pa.array(np.concatenate([[0], np.cumsum(sizes)]), pa.int32())
 
 
 _PROCESS_MODELS: dict = {}
@@ -208,42 +252,26 @@ def make_fused_tagger_fn(catalog_ref, cfg: PipelineConfig, emit: str = "triples"
 def explode_mentions(batch: pa.Table) -> pa.Table:
     """Stateless flattener: nested segment-mention rows → one row per
     mention (the classic mentions table, M5 in SURVEY.md §2.3). Uses the
-    linked label when the link stage has run."""
-    has_link = "linked_labels" in batch.column_names
-    has_cands = "cand_labels" in batch.column_names
-    out = {name: [] for name in MENTION_SCHEMA.names}
-    if has_link:
-        out["linked_label"] = []
-        out["link_score"] = []
-        out["in_catalog"] = []
-    if has_cands:
-        out["cand_labels"] = []
-        out["n_cands"] = []
-    cols = {c: batch.column(c).to_pylist() for c in batch.column_names}
-    for i in range(batch.num_rows):
-        n = len(cols["starts"][i])
-        for j in range(n):
-            for c in PASS_THROUGH:
-                out[c].append(cols[c][i])
-            out["start"].append(cols["starts"][i][j])
-            out["end"].append(cols["ends"][i][j])
-            out["label"].append(cols["labels"][i][j])
-            out["surface"].append(cols["surfaces"][i][j])
-            out["norm_key"].append(cols["norm_keys"][i][j])
-            out["entity_id"].append(cols["entity_ids"][i][j])
-            if has_link:
-                out["linked_label"].append(cols["linked_labels"][i][j])
-                out["link_score"].append(cols["link_scores"][i][j])
-                out["in_catalog"].append(cols["in_catalog"][i][j])
-            if has_cands:
-                out["cand_labels"].append(cols["cand_labels"][i][j])
-                out["n_cands"].append(cols["n_cands"][i][j])
+    linked label when the link stage has run. The list columns are
+    flattened and the segment columns taken by each mention's parent
+    row."""
+    flat = {"starts": "start", "ends": "end", "labels": "label",
+            "surfaces": "surface", "norm_keys": "norm_key",
+            "entity_ids": "entity_id"}
     schema = MENTION_SCHEMA
-    if has_link:
+    if "linked_labels" in batch.column_names:
+        flat.update(linked_labels="linked_label", link_scores="link_score",
+                    in_catalog="in_catalog")
         schema = schema.append(pa.field("linked_label", pa.string())) \
                        .append(pa.field("link_score", pa.float64())) \
                        .append(pa.field("in_catalog", pa.bool_()))
-    if has_cands:
+    if "cand_labels" in batch.column_names:
+        flat.update(cand_labels="cand_labels", n_cands="n_cands")
         schema = schema.append(pa.field("cand_labels", pa.string())) \
                        .append(pa.field("n_cands", pa.int32()))
-    return pa.Table.from_pydict(out, schema=schema)
+    parent = pc.list_parent_indices(batch.column("starts"))
+    cols = {c: batch.column(c).take(parent) for c in PASS_THROUGH}
+    cols.update({out: pc.list_flatten(batch.column(c))
+                 for c, out in flat.items()})
+    return pa.Table.from_arrays([cols[f.name].cast(f.type) for f in schema],
+                                schema=schema)

@@ -127,9 +127,14 @@ class Trie:
               max_words: int | None = None) -> list[tuple[int, int, tuple[str, ...]]]:
         """Candidate spans ``(start, end_exclusive, word)`` — the candidate-
         generation view used by the mention pipeline. Uses the same
-        enumerate/demotion semantics as :meth:`matched_word_list`."""
+        enumerate/demotion semantics as :meth:`matched_word_list`.
+        Positions whose token starts no word are skipped before the
+        ``sent[i:]`` copy (they match nothing)."""
         out: list[tuple[int, int, tuple[str, ...]]] = []
-        for i in range(len(sent)):
+        first = self.root.children
+        for i, tok in enumerate(sent):
+            if tok not in first:
+                continue
             words = self.enumerate_match(sent[i:])
             if max_words is not None:
                 words = words[:max_words]

@@ -72,22 +72,79 @@ def _staged(corpus: pa.Table, cat, cfg, last) -> pa.Table:
     return last(LinkScorer(catalog_pairs=cat)(nested))
 
 
-def test_fused_equals_staged(ray_session, tmp_path):
-    """The fused task path and the three stages composed in-process emit
-    identical triple sets."""
-    from ccnerx_ray.corpus import build_catalog, generate_corpus, write_corpus
-    from ccnerx_ray.pipelines.kg import read_corpus, triples_dataset
-    from ccnerx_ray.stages.triples import make_triple_emitter
+def _per_row_segments(segments: pa.Table, model, linker) -> list[dict]:
+    """Segment rows with their mentions from the per-row reference, one
+    segment at a time: ``extract_mention_rows`` → ``link_one``."""
+    from ccnerx_ray.stages.tag import extract_mention_rows
 
-    cfg = PipelineConfig()
-    d = write_corpus(str(tmp_path / "c"), 20, seed=11, num_files=2)
-    cat = sorted(build_catalog(11).surface2label.items())
-    fused = {(r["subj"], r["pred"], r["obj"])
-             for r in triples_dataset(read_corpus(d, cfg), cat, cfg).take_all()}
-    staged = {(r["subj"], r["pred"], r["obj"])
-              for r in _staged(generate_corpus(20, seed=11), cat, cfg,
-                               make_triple_emitter(cfg)).to_pylist()}
-    assert fused == staged and len(fused) > 0
+    rows = segments.to_pylist()
+    for seg in rows:
+        mrows = extract_mention_rows(
+            seg["tokens"], model.tag_segments([seg["tokens"]])[0])
+        seg.update({k: [m[i] for m in mrows] for i, k in enumerate(
+            ("starts", "ends", "labels", "surfaces", "norm_keys",
+             "entity_ids"))})
+        seg["linked_labels"] = [linker.link_one(m[3], m[4], m[2])[1][0]
+                                for m in mrows]
+    return rows
+
+
+def _per_row_triples(rows: list[dict], cap: int) -> pa.Table:
+    """``segment_triples`` of each reference segment row, in order."""
+    from ccnerx_ray.stages.triples import TRIPLE_SCHEMA, segment_triples
+
+    out = {name: [] for name in TRIPLE_SCHEMA.names}
+    for seg in rows:
+        for row in segment_triples(seg, cap):
+            for name, v in zip(("subj", "pred", "obj", "surface",
+                                "norm_key", "label"), row):
+                out[name].append(v)
+            for name in ("repo", "path", "commit", "content_sha256"):
+                out[name].append(seg[name])
+    return pa.Table.from_pydict(out, schema=TRIPLE_SCHEMA)
+
+
+def test_fused_equals_staged():
+    """The fused columnar ``emit="triples"`` call returns exactly the
+    per-row reference composition — same rows, same order — in every
+    backbone × fusion config and co-occurrence cap; an empty and an all-O
+    batch give typed empty tables."""
+    from ccnerx_ray.corpus import build_catalog, generate_corpus
+    from ccnerx_ray.model.tagger import TaggerModel
+    from ccnerx_ray.stages.link import LinkScorer
+    from ccnerx_ray.stages.tag import MentionTagger
+    from ccnerx_ray.stages.triples import TRIPLE_SCHEMA
+    from ccnerx_ray.state.catalog import EntityCatalog
+
+    for seed in (1, 2, 3):
+        cat = sorted(build_catalog(seed).surface2label.items())
+        linker = LinkScorer(catalog_pairs=cat)
+        for backbone in ("mlp", "attn"):
+            for fusion in ("boost", "lebert"):
+                cfg = PipelineConfig(backbone=backbone, fusion=fusion)
+                segs = make_segmenter(cfg)(generate_corpus(80, seed=seed))
+                rows = _per_row_segments(
+                    segs, TaggerModel(EntityCatalog.from_pairs(cat), cfg),
+                    linker)
+                for cap in (2, 8):
+                    fused = MentionTagger(
+                        catalog_pairs=cat, emit="triples",
+                        cfg=PipelineConfig(backbone=backbone, fusion=fusion,
+                                           cooccur_cap=cap))(segs)
+                    want = _per_row_triples(rows, cap)
+                    assert want.num_rows > 0
+                    assert fused.equals(want), (seed, backbone, fusion, cap)
+
+    # no catalog: nothing is boosted and every tag is O
+    tagger = MentionTagger(catalog_pairs=[], emit="triples")
+    segs = make_segmenter(CFG)(generate_corpus(4, seed=1))
+    later = segs.filter(pa.compute.greater(segs.column("seg_id"), 0))
+    assert later.num_rows and all(
+        t == "O" for toks in later.column("tokens").to_pylist()
+        for t in tagger.model.tag_segments([toks])[0])
+    for batch in (segs.slice(0, 0), later):
+        out = tagger(batch)
+        assert out.num_rows == 0 and out.schema.equals(TRIPLE_SCHEMA)
 
 
 def test_fused_mentions_equals_staged(ray_session, tmp_path):

@@ -186,3 +186,27 @@ def test_multilabel_link_scoring():
                               max_label_num=3).link_one(
         "parse_foo", "parse foo", "FUNC")
     assert capped == ["CLASS", "CONST", "FUNC"]
+
+
+def test_batch_path_calls_no_per_row_helper(monkeypatch):
+    """``extract_mention_rows``, ``get_entities``, ``segment_triples`` and
+    ``LinkScorer.link_one`` are the oracle's per-row reference: with each
+    one raising, every ``MentionTagger`` emit still runs."""
+    import ccnerx_ray.functions.bioes as bioes
+    import ccnerx_ray.stages.tag as tag
+    import ccnerx_ray.stages.triples as triples
+    from ccnerx_ray.corpus import build_catalog, generate_corpus
+
+    def per_row(*args, **kwargs):
+        raise AssertionError("per-row reference helper on the batch path")
+
+    for module, name in ((tag, "extract_mention_rows"), (tag, "get_entities"),
+                         (bioes, "get_entities"),
+                         (triples, "segment_triples"),
+                         (LinkScorer, "link_one")):
+        monkeypatch.setattr(module, name, per_row)
+    cat = sorted(build_catalog(5).surface2label.items())
+    seg = make_segmenter(CFG)(generate_corpus(10, seed=5))
+    for emit in MentionTagger.EMITS:
+        out = MentionTagger(catalog_pairs=cat, cfg=CFG, emit=emit)(seg)
+        assert out.num_rows > 0, emit

@@ -84,6 +84,31 @@ def test_failed_write_leaves_no_store(ray_session, tmp_path):
     assert _stages(tmp_path) == []
 
 
+def test_publish_sweeps_stages_of_dead_runs(tmp_path):
+    """A stage left by a process that is gone is removed when the store is
+    next published; the stage of a process still running is kept."""
+    import subprocess
+    import sys
+
+    from ccnerx_ray.io.store import published
+
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()
+    live = subprocess.Popen([sys.executable, "-c",
+                             "import time; time.sleep(60)"])
+    try:
+        for pid in (dead.pid, live.pid):
+            os.makedirs(tmp_path / f".store.tmp-{pid}" / "part=0")
+        os.makedirs(tmp_path / f".other.tmp-{dead.pid}")
+        with published(str(tmp_path / "store")) as stage:
+            pathlib.Path(stage, "x").write_text("x")
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [".other.tmp-%d" % dead.pid, ".store.tmp-%d" % live.pid, "store"])
+    finally:
+        live.kill()
+        live.wait(timeout=10)
+
+
 def test_resumable_rerun_after_chunk_crash(ray_session, tmp_path):
     """A chunk that dies mid-write is neither published nor left staged; the
     re-run runs only that chunk and the store equals an uninterrupted run."""

@@ -66,6 +66,19 @@ def test_batch_composition_independence():
     assert together == solo
 
 
+def test_base_row_independent_of_batch_shape():
+    """A token's cached MLP row is bit-identical computed alone, inside
+    batches of any size (a BLAS matmul's last bit depends on the batch
+    shape) and after a cache hit."""
+    toks = [f"tok{i}" for i in range(500)]
+    alone = np.stack([make_model()._base_rows([t])[0] for t in toks])
+    for n in (2, 3, 5, 17, 500):
+        m = make_model()
+        assert m._base_rows(toks[:n]).tobytes() == alone[:n].tobytes(), n
+        assert m._base_rows(toks[:n][::-1]).tobytes() == \
+            alone[:n][::-1].tobytes(), n     # cache hits
+
+
 def test_deterministic_across_instances():
     toks = ["import", "libfoo", ".", "parse_cfg", "x", "Widget"]
     a = make_model().tag_segments([toks])[0]

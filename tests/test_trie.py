@@ -77,3 +77,17 @@ def test_lexicon_scale_memory_bound():
     assert per_word < 400, f"{per_word:.0f} B/word exceeds the 400 B bound"
     # the trie actually matches its entries
     assert trie.search(words[0]) and trie.search(words[1])
+
+
+def test_spans_skip_matches_full_scan():
+    """Skipping positions whose token starts no word gives the spans of a
+    scan of every position."""
+    import random
+
+    t = build(["a", "a b", "b c d", "c", "d a b"])
+    rng = random.Random(3)
+    for _ in range(200):
+        sent = [rng.choice("abcdxy") for _ in range(rng.randrange(15))]
+        full = [(i, i + len(w), w) for i in range(len(sent))
+                for w in t.enumerate_match(sent[i:])[:2]]
+        assert t.spans(sent, max_words=2) == full
