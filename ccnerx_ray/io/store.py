@@ -13,6 +13,13 @@ one rename, and readers take only roots whose lineage summary records
 ``num_partitions`` (:func:`published_roots`). A killed run never
 leaves a store that a reader would accept or a resume would double-count
 (SURVEY.md §7 "checkpoint correctness").
+
+A written store is worked on partition by partition without a Ray Data
+read: :func:`map_partitions` runs one Ray task per ``part=K`` over that
+partition's files in every published root, and each task reads row
+groups with pyarrow (:func:`row_groups`) and writes at most one file
+(:func:`write_partition`). ``compact_store`` and ``update_kg``'s
+carry-forward run on it.
 """
 
 from __future__ import annotations
@@ -171,6 +178,20 @@ def write_lineage(out_dir: str, wall_s: float,
     return summary
 
 
+def amend_summary(store_dir: str, fields: dict) -> None:
+    """Add ``fields`` to a published store's lineage summary (what a run
+    learns after its store is published, e.g. the entity step's wall
+    time). The summary is replaced in one rename: a reader sees the old
+    or the new one, never a torn file."""
+    path = os.path.join(store_dir, LINEAGE_DIR, "_summary.json")
+    with open(path) as fh:
+        summary = json.load(fh)
+    summary.update(fields)
+    with open(path + ".tmp", "w") as fh:
+        json.dump(summary, fh)
+    os.replace(path + ".tmp", path)
+
+
 def parquet_files(part_dir: str) -> list[str]:
     """The Parquet files of one ``part=`` directory ([] if it is absent:
     write_parquet skips empty partitions)."""
@@ -216,6 +237,83 @@ def store_num_partitions(store_dir: str) -> int:
     lineage — counting ``part=`` dirs is wrong when some partitions were
     empty (write_parquet skips them) and would silently shift the modulus."""
     return published_roots(store_dir)[0][1]["num_partitions"]
+
+
+def map_partitions(roots: list[tuple[str, dict]], fn, *args,
+                   parts=()) -> dict[int, object]:
+    """Run ``fn(K, files, *args)`` as one Ray task per partition ``K``,
+    over the files of ``part=K`` in every root (a chunked store's
+    partition spans its chunks). A carried row never changes partition
+    (``part = stable_hash64(subj) % P``), so partition-wise work on a store
+    needs no shuffle and no Ray Data read of it. ``parts`` adds partitions
+    without a file; their tasks get ``[]``. An ``ObjectRef`` in ``args`` is
+    resolved in each task from the object store: ``ray.put`` a shared
+    table once, never once per task. Returns ``{K: fn's result}``."""
+    import ray
+
+    files: dict[int, list[str]] = {}
+    for root, _ in roots:
+        for d in sorted(os.listdir(root)):
+            if d.startswith("part="):
+                files.setdefault(int(d[len("part="):]), []).extend(
+                    parquet_files(os.path.join(root, d)))
+    keys = sorted({k for k, fs in files.items() if fs} | set(parts))
+    task = ray.remote(fn)
+    return dict(zip(keys, ray.get(
+        [task.remote(k, files.get(k, []), *args) for k in keys])))
+
+
+def row_groups(files: list[str], columns: list[str] | None = None):
+    """Yield every row group of ``files`` in order, so a hot
+    ``hash(subj)`` partition, which can exceed a worker's heap, is never
+    read whole. Reads on the calling thread: a Ray task holds one CPU,
+    and a thread pool sized to the machine only adds switching to it."""
+    for f in files:
+        pf = pq.ParquetFile(f)
+        for rg in range(pf.num_row_groups):
+            yield pf.read_row_group(rg, columns=columns, use_threads=False)
+
+
+# tables are coalesced up to this much Arrow data: a partition streams
+# through a task without ever being held whole, and a small partition is
+# one join call and one row group
+ROW_GROUP_BYTES = 64 << 20
+
+
+def coalesced(tables):
+    """Yield the non-empty ``tables`` concatenated into tables of about
+    ``ROW_GROUP_BYTES`` (zero-copy: the chunks are kept, not merged).
+    Per-call costs, a join's hash table or a row group's pages, are then
+    paid once per bound, not once per piece."""
+    buf, size = [], 0
+    for t in tables:
+        if t.num_rows:
+            buf.append(t)
+            size += t.nbytes
+            if size >= ROW_GROUP_BYTES:
+                yield pa.concat_tables(buf)
+                buf, size = [], 0
+    if buf:
+        yield pa.concat_tables(buf)
+
+
+def write_partition(path: str, tables, schema: pa.Schema) -> int:
+    """Stream ``tables`` (cast to ``schema``) into one Parquet file at
+    ``path``, one row group per :func:`coalesced` table, with pyarrow's
+    default writer settings as Ray's Parquet sink uses. Writes no file
+    when there are no rows. Returns the rows written."""
+    writer, rows = None, 0
+    try:
+        for t in coalesced(t.cast(schema) for t in tables):
+            if writer is None:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                writer = pq.ParquetWriter(path, schema)
+            writer.write_table(t)
+            rows += t.num_rows
+    finally:
+        if writer is not None:
+            writer.close()
+    return rows
 
 
 def read_triple_store(paths: str | list[str], columns: list[str] | None = None):
@@ -276,46 +374,23 @@ def lookup_subject(store_dir: str, subj: str):
 def compact_store(store_dir: str, out_dir: str) -> dict:
     """Compact a (possibly chunked) triple store into one file per
     partition — the small-files remedy after many resumable chunks. One
-    Ray task per partition (embarrassingly parallel; partition dirs never
-    overlap), published like every store."""
-    import ray
-
+    Ray task per partition (:func:`map_partitions`), published like every
+    store."""
     # num_partitions carries over from the source lineage: counting the
     # compacted store's non-empty part= dirs would shift the lookup modulus
     roots = published_roots(store_dir)
-    parts: dict[str, list[str]] = {}
-    for root, _ in roots:
-        for d in sorted(os.listdir(root)):
-            if d.startswith("part="):
-                parts.setdefault(d, []).extend(
-                    parquet_files(os.path.join(root, d)))
-
-    @ray.remote
-    def compact_one(part_name: str, files: list[str], dest_dir: str) -> int:
-        # stream row groups through a ParquetWriter: peak memory is one
-        # row group, not the whole partition (a hot hash(subj) partition
-        # can exceed worker heap if concatenated — VERDICT r1 #7)
-        pdir = os.path.join(dest_dir, part_name)
-        os.makedirs(pdir, exist_ok=True)
-        schema = pq.read_schema(files[0])
-        rows = 0
-        with pq.ParquetWriter(
-                os.path.join(pdir, "compacted-0.parquet"), schema) as w:
-            for f in files:
-                pf = pq.ParquetFile(f)
-                for rg in range(pf.num_row_groups):
-                    t = pf.read_row_group(rg).cast(schema)
-                    w.write_table(t)
-                    rows += t.num_rows
-        return rows
-
     t0 = time.time()
     with published(out_dir) as stage:
-        rows = ray.get([compact_one.remote(p, fs, stage)
-                        for p, fs in sorted(parts.items())])
+        rows = map_partitions(roots, _compact_partition, stage)
         result = write_lineage(
             stage, time.time() - t0,
             {"compacted_from": len(roots),
              "num_partitions": roots[0][1]["num_partitions"]})
-    result["rows_check"] = sum(rows)
+    result["rows_check"] = sum(rows.values())
     return result
+
+
+def _compact_partition(part: int, files: list[str], dest_dir: str) -> int:
+    return write_partition(
+        os.path.join(dest_dir, f"part={part}", "compacted-0.parquet"),
+        row_groups(files), pq.read_schema(files[0]))

@@ -91,14 +91,15 @@ class SeededAttentionEncoder:
         residual/LN. ``X [L, D]`` → ``[L, D]``."""
         L, D = X.shape
         h, dh = self.num_heads, D // self.num_heads
-        Q = (X @ p["Wq"] + p["bq"]).reshape(L, h, dh)
-        K = (X @ p["Wk"] + p["bk"]).reshape(L, h, dh)
-        V = (X @ p["Wv"] + p["bv"]).reshape(L, h, dh)
-        scores = np.einsum("qhd,khd->hqk", Q, K) / np.sqrt(dh)
+        # per-head views [h, L, dh]: batched matmuls (BLAS), not einsum
+        Q = (X @ p["Wq"] + p["bq"]).reshape(L, h, dh).transpose(1, 0, 2)
+        K = (X @ p["Wk"] + p["bk"]).reshape(L, h, dh).transpose(1, 0, 2)
+        V = (X @ p["Wv"] + p["bv"]).reshape(L, h, dh).transpose(1, 0, 2)
+        scores = Q @ K.transpose(0, 2, 1) / np.sqrt(dh)
         scores -= scores.max(axis=-1, keepdims=True)
         ex = np.exp(scores)
         A = ex / ex.sum(axis=-1, keepdims=True)           # [h, L, L]
-        ctx = np.einsum("hqk,khd->qhd", A, V).reshape(L, D)
+        ctx = (A @ V).transpose(1, 0, 2).reshape(L, D)
         X = layer_norm(X + ctx @ p["Wo"] + p["bo"])
         ffn = np.tanh(X @ p["Wf1"] + p["bf1"]) @ p["Wf2"] + p["bf2"]
         return layer_norm(X + ffn)

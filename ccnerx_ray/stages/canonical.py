@@ -53,7 +53,10 @@ def make_combiner(key_col: str = "norm_key", label_col: str = "linked_label",
             names=["norm_key", "label", "surface"]).to_pandas()
         g = (df.groupby(["norm_key", "label", "surface"], sort=False)
                .size().reset_index(name="cnt"))
-        return pa.Table.from_pandas(g, preserve_index=False)
+        # without the pandas schema metadata: a schema carrying it is
+        # unhashable, and the shuffle's schema dedup fails on it
+        return pa.Table.from_pandas(
+            g, preserve_index=False).replace_schema_metadata(None)
 
     return combine
 

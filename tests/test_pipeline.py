@@ -139,6 +139,30 @@ def test_canonicalize_hot_key_skew(ray_session):
     assert ents["k7"]["n_mentions"] == 1
 
 
+def test_entity_blocks_carry_no_schema_metadata(ray_session):
+    """The combiner and the entity table hand the shuffle plain Arrow
+    schemas: pandas schema metadata makes a schema unhashable, and the
+    reduce then logs "Failed to hash the schemas" on every run."""
+    import ray
+    import ray.data
+    from ccnerx_ray.stages.canonical import (entities_from_triples,
+                                             make_combiner)
+
+    t = pa.table({"subj": [f"e{i % 5}" for i in range(40)],
+                  "pred": ["mentioned_in"] * 40, "obj": ["f"] * 40,
+                  "norm_key": [f"k{i % 5}" for i in range(40)],
+                  "surface": [f"S{i % 3}" for i in range(40)],
+                  "label": ["FUNC"] * 40})
+    blocks = [make_combiner(label_col="label")(t)]
+    ents = entities_from_triples(ray.data.from_arrow([t.slice(0, 20),
+                                                      t.slice(20)]))
+    blocks += [ray.get(r) for r in ents.to_arrow_refs()]
+    assert sum(b.num_rows for b in blocks[1:]) == 5
+    for b in blocks:
+        assert b.schema.metadata is None
+        hash(b.schema)
+
+
 def test_corpus_matched_words(ray_session, corpus_dir, catalog_pairs):
     from ccnerx_ray.pipelines.kg import read_corpus, segments_dataset
     from ccnerx_ray.stages.featurize import corpus_matched_words
@@ -652,3 +676,184 @@ def test_update_kg_runs_no_grouped_shuffle(ray_session, corpus_dir,
     s = update_kg(v2, catalog_pairs, store1, str(tmp_path / "upd"), CFG,
                   build_entities=False)
     assert s["docs_total"] == n_rows and s["docs_retagged"] == 7 + 4
+
+
+def _updated_and_fresh(tmp_path, corpus_dir, catalog_pairs, rows, name,
+                       cfg=CFG, old_store=None):
+    """``update_kg`` from the fixture corpus's store to ``rows``, and a
+    fresh ``run_kg`` of ``rows``; returns (update summary, updated store,
+    fresh store)."""
+    from ccnerx_ray.pipelines.kg import update_kg
+
+    old_store = old_store or str(tmp_path / "store1")
+    if not os.path.exists(old_store):
+        run_kg(corpus_dir, catalog_pairs, old_store, CFG,
+               build_entities=False)
+    v2 = _write_corpus_rows(rows, str(tmp_path / f"{name}_corpus"))
+    upd, full = str(tmp_path / f"{name}_upd"), str(tmp_path / f"{name}_full")
+    s = update_kg(v2, catalog_pairs, old_store, upd, cfg)
+    run_kg(v2, catalog_pairs, full, cfg)
+    return s, upd, full
+
+
+def _entity_frame(store: str):
+    """A store's entity table as a sorted frame; its schema must be
+    ``ENTITY_SCHEMA``."""
+    from ccnerx_ray.stages.canonical import ENTITY_SCHEMA
+
+    t = pa.concat_tables([pq.read_table(f) for f in sorted(
+        glob.glob(os.path.join(store + "_entities", "*.parquet")))])
+    assert t.schema.equals(ENTITY_SCHEMA)
+    df = t.to_pandas()
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("case", ["identical", "all_removed", "all_changed"])
+def test_update_kg_partition_path_edge_deltas(ray_session, corpus_dir,
+                                              catalog_pairs, tmp_path, case):
+    """The partition-local carry-forward on an empty delta (identical
+    corpus), on a corpus that keeps no old document, and on one that
+    changes every document: typed results equal to a fresh build, every
+    updated file with a build file's Parquet schema."""
+    import pandas as pd
+
+    from ccnerx_ray.stages.triples import TRIPLE_SCHEMA
+
+    rows = _corpus_rows(corpus_dir)
+    if case == "all_removed":
+        rows = [dict(r, repo="moved/" + r["repo"]) for r in rows]
+    elif case == "all_changed":
+        rows = [dict(r, content=r["content"] + "\nchanged_token = 1")
+                for r in rows]
+    s, upd, full = _updated_and_fresh(tmp_path, corpus_dir, catalog_pairs,
+                                      rows, case)
+    assert s["carry"] == "partition"
+    assert s["docs_total"] == len(rows)
+    if case == "identical":
+        assert s["rows_fresh"] == 0 and s["rows_carried"] == s["rows"] > 0
+    else:
+        assert s["rows_carried"] == 0 and s["docs_retagged"] == len(rows)
+    pd.testing.assert_frame_equal(_triple_frame(upd), _triple_frame(full))
+    pd.testing.assert_frame_equal(_entity_frame(upd), _entity_frame(full))
+    build_schema = pq.read_schema(
+        glob.glob(os.path.join(full, "part=*", "*.parquet"))[0])
+    assert build_schema.equals(TRIPLE_SCHEMA, check_metadata=True)
+    for f in glob.glob(os.path.join(upd, "part=*", "*.parquet")):
+        assert pq.read_schema(f).equals(build_schema, check_metadata=True)
+
+
+def test_update_kg_reads_no_old_store_dataset(ray_session, corpus_dir,
+                                              catalog_pairs, tmp_path,
+                                              monkeypatch):
+    """On the partition path the old store is read only by per-partition
+    pyarrow tasks: neither ``read_triple_store`` nor
+    ``ray.data.read_parquet`` ever sees a path under it."""
+    import pandas as pd
+    import ray.data
+
+    import ccnerx_ray.io.store as store
+
+    store1 = str(tmp_path / "store1")
+    run_kg(corpus_dir, catalog_pairs, store1, CFG, build_entities=False)
+    old_root = os.path.abspath(store1)
+
+    def guarded(read):
+        def wrapped(paths, *args, **kwargs):
+            for p in [paths] if isinstance(paths, str) else paths:
+                p = os.path.abspath(p)
+                assert not (p == old_root or p.startswith(old_root + os.sep)), p
+            return read(paths, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ray.data, "read_parquet",
+                        guarded(ray.data.read_parquet))
+    monkeypatch.setattr(store, "read_triple_store",
+                        guarded(store.read_triple_store))
+    v2, _ = _corpus_v2(corpus_dir, str(tmp_path / "v2"))
+    rows = _corpus_rows(v2)
+    s, upd, full = _updated_and_fresh(tmp_path, corpus_dir, catalog_pairs,
+                                      rows, "v2", old_store=store1)
+    assert s["carry"] == "partition" and s["docs_retagged"] == 7 + 4
+    pd.testing.assert_frame_equal(_triple_frame(upd), _triple_frame(full))
+
+
+def test_update_kg_dataset_fallback_equals_partition_path(
+        ray_session, corpus_dir, catalog_pairs, tmp_path, monkeypatch):
+    """Past the broadcast bound, and for a ``P`` other than the old
+    store's, the update runs the Dataset carry-forward; lineage records
+    which path ran, and the triples equal the partition path's."""
+    import json
+
+    import pandas as pd
+
+    import ccnerx_ray.ops.join as join
+
+    v2, _ = _corpus_v2(corpus_dir, str(tmp_path / "v2"))
+    rows = _corpus_rows(v2)
+    s, upd, _ = _updated_and_fresh(tmp_path, corpus_dir, catalog_pairs,
+                                   rows, "partition")
+    assert s["carry"] == "partition"
+    monkeypatch.setattr(join, "BROADCAST_BYTES_DEFAULT", 1)
+    s_ds, upd_ds, _ = _updated_and_fresh(tmp_path, corpus_dir, catalog_pairs,
+                                         rows, "dataset")
+    with open(os.path.join(upd_ds, "_lineage", "_summary.json")) as fh:
+        assert json.load(fh)["carry"] == s_ds["carry"] == "dataset"
+    assert (s_ds["docs_total"], s_ds["docs_retagged"]) == (
+        s["docs_total"], s["docs_retagged"])
+    pd.testing.assert_frame_equal(_triple_frame(upd_ds), _triple_frame(upd))
+    pd.testing.assert_frame_equal(_entity_frame(upd_ds), _entity_frame(upd))
+    monkeypatch.undo()
+
+    s_p8, upd_p8, full_p8 = _updated_and_fresh(
+        tmp_path, corpus_dir, catalog_pairs, rows, "p8",
+        cfg=PipelineConfig(output_partitions=8))
+    assert s_p8["carry"] == "dataset" and s_p8["num_partitions"] == 8
+    pd.testing.assert_frame_equal(_triple_frame(upd_p8), _triple_frame(upd))
+
+
+def test_update_kg_from_chunked_store_equals_fresh_build(
+        ray_session, corpus_dir, catalog_pairs, tmp_path):
+    """An old store written by ``run_resumable`` in two chunks: each
+    partition task reads ``part=K`` of both chunks."""
+    import pandas as pd
+
+    from ccnerx_ray.io.store import run_resumable
+
+    chunked = str(tmp_path / "chunked")
+
+    def run_chunk(chunk_files, chunk_dir):
+        run_kg(chunk_files, catalog_pairs, chunk_dir, CFG,
+               build_entities=False)
+
+    ran = run_resumable(sorted(glob.glob(os.path.join(corpus_dir, "*.parquet"))),
+                        chunked, run_chunk, chunk_size=2)
+    assert len(ran["chunks_run"]) == 2
+    v2, _ = _corpus_v2(corpus_dir, str(tmp_path / "v2"))
+    s, upd, full = _updated_and_fresh(tmp_path, corpus_dir, catalog_pairs,
+                                      _corpus_rows(v2), "v2",
+                                      old_store=chunked)
+    assert s["carry"] == "partition" and s["docs_retagged"] == 7 + 4
+    pd.testing.assert_frame_equal(_triple_frame(upd), _triple_frame(full))
+    pd.testing.assert_frame_equal(_entity_frame(upd), _entity_frame(full))
+
+
+def test_update_kg_lineage_explains_the_run(ray_session, corpus_dir,
+                                            catalog_pairs, tmp_path):
+    """The update's lineage summary says which carry-forward ran, how many
+    rows it carried and tagged afresh, and the wall seconds of each
+    phase."""
+    import json
+
+    v2, _ = _corpus_v2(corpus_dir, str(tmp_path / "v2"))
+    s, upd, _ = _updated_and_fresh(tmp_path, corpus_dir, catalog_pairs,
+                                   _corpus_rows(v2), "v2")
+    with open(os.path.join(upd, "_lineage", "_summary.json")) as fh:
+        lineage = json.load(fh)
+    assert lineage["carry"] == "partition"
+    assert lineage["rows_carried"] + lineage["rows_fresh"] == lineage["rows"]
+    assert lineage["rows_carried"] > 0 and lineage["rows_fresh"] > 0
+    assert set(lineage["phases_s"]) == {"corpus_keys", "round_a",
+                                        "delta_tagging", "round_b",
+                                        "entities"}
+    assert all(v >= 0 for v in lineage["phases_s"].values())
+    assert lineage["phases_s"] == s["phases_s"]
