@@ -17,9 +17,9 @@ leaves a store that a reader would accept or a resume would double-count
 A written store is worked on partition by partition without a Ray Data
 read: :func:`map_partitions` runs one Ray task per ``part=K`` over that
 partition's files in every published root, and each task reads row
-groups with pyarrow (:func:`row_groups`) and writes at most one file
-(:func:`write_partition`). ``compact_store`` and ``update_kg``'s
-carry-forward run on it.
+groups with pyarrow (:func:`row_groups`) and writes at most one file per
+partition it holds rows for (:func:`write_partition`). ``compact_store``
+and ``update_kg``'s carry-forward run on it.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import shutil
 import time
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ccnerx_ray.functions.hashing import stable_hash64_column
@@ -102,22 +103,16 @@ def _pid_alive(pid: int) -> bool:
 
 
 def write_triple_store(triples, out_dir: str, num_partitions: int = 16,
-                       lineage_extra: dict | None = None,
-                       min_rows_per_file: int | None = None) -> dict:
+                       lineage_extra: dict | None = None) -> dict:
     """Write a triples Dataset as ``out_dir/part={k}/*.parquet`` with
     lineage sidecars, published only once both are written. Returns the
-    run-level lineage summary.
-
-    Each write task leaves one file per partition it holds rows for.
-    ``min_rows_per_file`` (``Dataset.write_parquet``'s bundling target)
-    gathers blocks into tasks of at least that many rows; ``None`` keeps
-    one task per upstream block."""
+    run-level lineage summary. Each write task leaves one file per
+    partition it holds rows for."""
     t0 = time.time()
     with published(out_dir) as stage:
         ds = triples.map_batches(add_part_column(num_partitions),
                                  batch_format="pyarrow")
-        ds.write_parquet(stage, partition_cols=["part"],
-                         min_rows_per_file=min_rows_per_file)
+        ds.write_parquet(stage, partition_cols=["part"])
         wall = time.time() - t0
         # num_partitions goes into the lineage summary: write_parquet only
         # creates directories for NON-EMPTY partitions, so counting part=
@@ -241,14 +236,17 @@ def store_num_partitions(store_dir: str) -> int:
 
 def map_partitions(roots: list[tuple[str, dict]], fn, *args,
                    parts=()) -> dict[int, object]:
-    """Run ``fn(K, files, *args)`` as one Ray task per partition ``K``,
+    """Start ``fn(K, files, *args)`` as one Ray task per partition ``K``,
     over the files of ``part=K`` in every root (a chunked store's
     partition spans its chunks). A carried row never changes partition
     (``part = stable_hash64(subj) % P``), so partition-wise work on a store
     needs no shuffle and no Ray Data read of it. ``parts`` adds partitions
     without a file; their tasks get ``[]``. An ``ObjectRef`` in ``args`` is
     resolved in each task from the object store: ``ray.put`` a shared
-    table once, never once per task. Returns ``{K: fn's result}``."""
+    table once, never once per task. Returns ``{K: ObjectRef of fn's
+    result}`` without waiting: the caller ``ray.get``s what it needs, or
+    passes the refs on (results that feed a Dataset never visit the
+    driver)."""
     import ray
 
     files: dict[int, list[str]] = {}
@@ -259,8 +257,7 @@ def map_partitions(roots: list[tuple[str, dict]], fn, *args,
                     parquet_files(os.path.join(root, d)))
     keys = sorted({k for k, fs in files.items() if fs} | set(parts))
     task = ray.remote(fn)
-    return dict(zip(keys, ray.get(
-        [task.remote(k, files.get(k, []), *args) for k in keys])))
+    return {k: task.remote(k, files.get(k, []), *args) for k in keys}
 
 
 def row_groups(files: list[str], columns: list[str] | None = None):
@@ -297,23 +294,36 @@ def coalesced(tables):
         yield pa.concat_tables(buf)
 
 
-def write_partition(path: str, tables, schema: pa.Schema) -> int:
-    """Stream ``tables`` (cast to ``schema``) into one Parquet file at
-    ``path``, one row group per :func:`coalesced` table, with pyarrow's
-    default writer settings as Ray's Parquet sink uses. Writes no file
-    when there are no rows. Returns the rows written."""
-    writer, rows = None, 0
+def write_partition(path, tables, schema: pa.Schema) -> int:
+    """Stream ``tables`` (cast to ``schema``) into Parquet, one row group
+    per :func:`coalesced` table and file, with pyarrow's default writer
+    settings as Ray's Parquet sink uses. ``path`` is one file; or, for
+    tables that end in an int32 ``part`` column, a function ``K ->
+    file``: each coalesced table is then split on ``part`` and partition
+    K's rows go to ``path(K)`` without the column. Writes no file for a
+    partition without rows. Returns the rows written."""
+    split = callable(path)
+    cast_to = schema.append(pa.field("part", pa.int32())) if split else schema
+    writers, rows = {}, 0
     try:
-        for t in coalesced(t.cast(schema) for t in tables):
-            if writer is None:
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                writer = pq.ParquetWriter(path, schema)
-            writer.write_table(t)
-            rows += t.num_rows
+        for t in coalesced(t.cast(cast_to) for t in tables):
+            for f, piece in (_by_part(t, path) if split else [(path, t)]):
+                if f not in writers:
+                    os.makedirs(os.path.dirname(f), exist_ok=True)
+                    writers[f] = pq.ParquetWriter(f, schema)
+                writers[f].write_table(piece)
+                rows += piece.num_rows
     finally:
-        if writer is not None:
-            writer.close()
+        for w in writers.values():
+            w.close()
     return rows
+
+
+def _by_part(t: pa.Table, path):
+    """Yield ``(path(K), t's rows with part == K, without part)`` for
+    each ``K`` in ``t``."""
+    for k in pc.unique(t["part"]).to_pylist():
+        yield path(k), t.filter(pc.equal(t["part"], k)).drop_columns(["part"])
 
 
 def read_triple_store(paths: str | list[str], columns: list[str] | None = None):
@@ -376,17 +386,20 @@ def compact_store(store_dir: str, out_dir: str) -> dict:
     partition — the small-files remedy after many resumable chunks. One
     Ray task per partition (:func:`map_partitions`), published like every
     store."""
+    import ray
+
     # num_partitions carries over from the source lineage: counting the
     # compacted store's non-empty part= dirs would shift the lookup modulus
     roots = published_roots(store_dir)
     t0 = time.time()
     with published(out_dir) as stage:
-        rows = map_partitions(roots, _compact_partition, stage)
+        rows = ray.get(list(map_partitions(
+            roots, _compact_partition, stage).values()))
         result = write_lineage(
             stage, time.time() - t0,
             {"compacted_from": len(roots),
              "num_partitions": roots[0][1]["num_partitions"]})
-    result["rows_check"] = sum(rows.values())
+    result["rows_check"] = sum(rows)
     return result
 
 

@@ -69,10 +69,16 @@ def _broadcast_build(build, broadcast_bytes: int,
     if estimate_bytes is None or estimate_bytes > broadcast_bytes:
         return None
     import ray
-    # materialize INCREMENTALLY with a running-size abort: a lying-LOW
-    # estimate must not be allowed to pull an entire fact table into the
-    # driver heap before the re-check fires — the cap is enforced block
-    # by block, so peak driver memory is bound + one block
+    from ray.data.dataset import MaterializedDataset
+
+    # to_arrow_refs on a lazy Dataset asks for its schema after the run
+    # and executes part of the plan again: run it once, into the store
+    if not isinstance(build, MaterializedDataset):
+        build = build.materialize()
+    # pull INCREMENTALLY with a running-size abort: a lying-LOW estimate
+    # must not be allowed to pull an entire fact table into the driver
+    # heap before the re-check fires — the cap is enforced block by
+    # block, so peak driver memory is bound + one block
     bound = broadcast_bytes * _ACTUAL_SLACK
     blocks, total = [], 0
     for ref in build.to_arrow_refs():

@@ -5,24 +5,14 @@
 the canonical entity table is then derived from the (small) store — the
 only shuffle in the whole job.
 
-``update_kg`` refreshes a store from a new corpus. The corpus is keyed
-once into a doc-scale table; the old store's document keys are its
-``in_repo`` rows (one per document), so no distinct over its triples
-runs. Only new or changed documents are re-tagged. The old store is
-already partitioned by subject and a carried row never changes
-partition, so while the corpus key table is under the broadcast bound
-the carry-forward is partition-local: one pyarrow Ray task per
-``part=K`` reads the old doc keys, then one per ``part=K`` keeps the
-old rows whose doc key is still in the corpus, appends the tagged
-delta's rows and writes one file. The old store is never read through
-Ray Data, shuffled or re-bucketed, and the duplicate check and doc
-counts run on the driver with pyarrow. Past the bound the carry-forward
-is a Dataset semi join of the keyed old store (``adaptive_join``).
-
-Every triple-scale shuffle on these paths is sized from the ``bytes`` of
-the stores' lineage through one rule, ``grouping.derive_hash_partitions``
-— no fan-out is hard-coded; the Dataset update's write width comes from
-the old store's lineage ``rows`` and ``bytes``.
+``update_kg`` refreshes a store from a new corpus, re-tagging only new or
+changed documents. Its one carry-forward is partition-local: the old
+store is already partitioned by subject, so one pyarrow Ray task per
+``part=K`` drops the rows of removed and changed documents and appends
+the tagged delta's; the old store is never read through Ray Data or
+shuffled. The one triple-scale shuffle (the entity step's) is sized from
+the store's lineage ``bytes`` by ``grouping.derive_hash_partitions`` —
+no fan-out is hard-coded.
 
 Every stage streams: no ``materialize()``/``take_all()`` on big data, the
 wide ``content`` column dies at segmentation, and the catalog is broadcast
@@ -176,8 +166,11 @@ def _write_entities(store_dir: str) -> str:
     chunked) store and publish it next to the store; the shuffle is sized
     from the bytes the store's lineage records. Returns the entity table's
     path."""
-    from ccnerx_ray.io.store import (published, published_roots,
-                                     read_triple_store)
+    import pyarrow.parquet as pq
+
+    from ccnerx_ray.io.store import (parquet_files, published,
+                                     published_roots, read_triple_store)
+    from ccnerx_ray.stages.canonical import ENTITY_SCHEMA
 
     roots = published_roots(store_dir)
     store = read_triple_store([r for r, _ in roots], columns=[
@@ -186,6 +179,10 @@ def _write_entities(store_dir: str) -> str:
     with published(ents_path) as stage:
         entities_from_triples(store, input_bytes=sum(
             s["bytes"] for _, s in roots)).write_parquet(stage)
+        if not parquet_files(stage):
+            # a store without mentions (structure rows only): Ray writes
+            # no file for no rows, a reader needs the schema
+            pq.write_table(ENTITY_SCHEMA.empty_table(), f"{stage}/0.parquet")
     return ents_path
 
 
@@ -260,46 +257,52 @@ def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
     world). Documents are identified by the exact key (repo, path,
     commit, content_sha256). The corpus is keyed once into a doc-scale
     table; the old store's keys are its ``in_repo`` rows (one per
-    document, ``stages/triples.py:filter_in_repo``) — no distinct over
-    the store's triples. Triples of documents still present carry
-    forward UNTAGGED; only NEW keys (changed content, new or moved
-    files) run through the tagger; triples of removed or changed
-    documents are dropped.
+    document, the ``seg_id == 0`` rule of ``stages/triples.py``) — no
+    distinct over the store's triples. Triples of documents still
+    present carry forward UNTAGGED; only NEW keys (changed content, new
+    or moved files) run through the tagger; triples of removed or
+    changed documents are dropped.
 
-    The old store is already partitioned by ``part = stable_hash64(subj)
-    % P`` and a carried row never changes partition, so while the corpus
-    key table is under ``adaptive_join``'s broadcast bound and the old
-    store's ``P`` is ``cfg.output_partitions``, the carry-forward is
-    partition-local (``carry: "partition"``) and never reads the old
-    store through Ray Data:
+    There is one carry-forward, and it never reads the old store through
+    Ray Data:
 
-    * the driver pulls the corpus key table and runs the duplicate check
-      and the doc counts on it with pyarrow;
+    * the corpus key table is materialized and checked for duplicates;
     * round A, one Ray task per ``part=K`` (``io/store.py:
       map_partitions``), reads only the ``in_repo`` rows' key columns:
       together they are the old doc keys;
+    * ``dropped``, the old keys not in the corpus (removed and changed
+      documents), is joined from the two doc-scale key tables: with
+      pyarrow on the driver while the corpus keys are under
+      ``adaptive_join``'s broadcast bound; past it round A's tables stay
+      in the object store and an ``adaptive_join`` brings only
+      ``dropped`` to the driver. The bound chooses where this join runs,
+      never which plan carries the triples;
     * the delta (the corpus anti-joined against the old keys) is tagged,
       given its ``part`` and kept as Arrow blocks in the object store;
-    * round B, one task per partition, keeps its old rows whose doc key
-      is in the corpus key table (a multi-key left semi join; null keys
-      never match), appends its fresh rows, and streams them into one
-      file, so an updated store has a build's layout.
-
-    Past the bound (or for another ``P``) the carry-forward is a Dataset
-    plan (``carry: "dataset"``): a keyed read of the old store, a
-    left-semi ``adaptive_join`` against the corpus keys, and a write
-    bundled to one task per ``PARTITION_BYTES`` of store.
+    * round B (:func:`_carry_partition`), one task per old partition,
+      keeps its old rows whose doc key is neither null nor ``dropped``,
+      appends its share of the fresh rows and streams them out: into one
+      file at the old store's ``P`` (``carry: "partition"``, a build's
+      layout), into one file per target partition for another
+      ``cfg.output_partitions`` (``carry: "rebucket"``).
 
     The result is bit-equal to a fresh full ``run_kg`` over the new
     corpus (test-enforced at the triple-multiset level) while the tagger
     — the expensive stage — touches only the delta. Lineage records
     ``docs_retagged`` / ``docs_total`` so a run can prove how little it
-    did, ``carry``, and ``phases_s`` (wall seconds per phase); the
-    partition path adds ``rows_carried`` and ``rows_fresh``. Corpus rows
-    must be unique per (repo, path, commit): a duplicate raises
-    ``ValueError`` before any store is staged."""
-    from ccnerx_ray.io.store import (amend_summary, published_roots,
-                                     refuse_existing)
+    did, ``docs_dropped``, ``carry``, ``rows_carried`` and ``rows_fresh``
+    (which sum to ``rows``), and ``phases_s`` (wall seconds per phase).
+    Corpus rows must be unique per (repo, path, commit): a duplicate
+    raises ``ValueError`` before any store is staged."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+    import ray.data
+
+    from ccnerx_ray.io.store import (add_part_column, amend_summary,
+                                     map_partitions, published,
+                                     published_roots, refuse_existing,
+                                     write_lineage)
     from ccnerx_ray.ops import join
 
     refuse_existing(out_dir, _entities_dir(out_dir))
@@ -314,28 +317,69 @@ def update_kg(corpus_paths, catalog_pairs, old_store_dir: str,
             _doc_key_batch(KEY_COLS), batch_format="pyarrow")
         corpus_keys = corpus.select_columns(
             DOC_KEY + ["_doc_key"]).materialize()
-        keys = None
-        if old_roots[0][1]["num_partitions"] == cfg.output_partitions:
-            keys = join._broadcast_build(
-                corpus_keys, join.BROADCAST_BYTES_DEFAULT,
-                corpus_keys.size_bytes())
+        keys = join._broadcast_build(corpus_keys, join.BROADCAST_BYTES_DEFAULT,
+                                     corpus_keys.size_bytes())
         if keys is not None and not keys.num_columns:   # an empty corpus
             keys = _string_table(DOC_KEY + ["_doc_key"])
         _refuse_duplicate_docs(corpus_keys if keys is None else keys,
                                KEY_COLS)
-    extra = dict(input_fingerprint(corpus_paths), updated_from=old_store_dir)
 
-    def fresh_triples(fresh_corpus):
-        return _fresh_triples(fresh_corpus, catalog_pairs, cfg,
-                              include_structure)
+    with _phase(phases, "round_a"):
+        old_refs = list(map_partitions(old_roots, _old_doc_keys).values())
+        if keys is not None:
+            old_keys = _keyed(pa.concat_tables(
+                [_string_table(DOC_KEY), *ray.get(old_refs)]))
+            dropped = old_keys.filter(pc.invert(pc.is_in(
+                old_keys["_doc_key"], value_set=keys["_doc_key"]))
+            ).select(DOC_KEY)
+            n_old, docs_total = old_keys.num_rows, keys.num_rows
+            old_keys = ray.data.from_arrow(old_keys.select(["_doc_key"]))
+        else:
+            old_keys = ray.data.from_arrow_refs(
+                old_refs or [ray.put(_string_table(DOC_KEY))]).map_batches(
+                _keyed, batch_format="pyarrow").materialize()
+            dropped = _pulled(join.adaptive_join(
+                old_keys, corpus_keys.select_columns(["_doc_key"]),
+                on="_doc_key", join_type="left_anti",
+                broadcast_bytes=join.BROADCAST_BYTES_DEFAULT,
+                build_bytes_hint=corpus_keys.size_bytes()), DOC_KEY)
+            n_old, docs_total = old_keys.count(), corpus_keys.count()
+        # every old key is unique (one in_repo row per document) and so is
+        # every non-null corpus key (the duplicate check): the corpus rows
+        # whose key is old are the old keys that were not dropped
+        docs_retagged = docs_total - (n_old - dropped.num_rows)
 
-    if keys is None:
-        with _phase(phases, "carry"):
-            summary = _carry_dataset(corpus, corpus_keys, old_roots,
-                                     fresh_triples, out_dir, cfg, extra)
-    else:
-        summary = _carry_partitions(corpus, keys, old_roots, fresh_triples,
-                                    out_dir, cfg, extra, phases)
+    num_partitions = cfg.output_partitions
+    with _phase(phases, "delta_tagging"):
+        fresh_corpus = join.adaptive_join(
+            corpus, old_keys, on="_doc_key", join_type="left_anti",
+            build_bytes_hint=old_keys.size_bytes(),
+        ).drop_columns(["_doc_key", "content_sha256"])
+        # materialized first: to_arrow_refs on a lazy Dataset asks for its
+        # schema after the run and executes part of the plan again
+        delta_refs = _fresh_triples(
+            fresh_corpus, catalog_pairs, cfg, include_structure,
+        ).map_batches(add_part_column(num_partitions),
+                      batch_format="pyarrow").materialize().to_arrow_refs()
+
+    old_partitions = old_roots[0][1]["num_partitions"]
+    with _phase(phases, "round_b"), published(out_dir) as stage:
+        t = time.time()
+        # the dropped keys are put once and every ref is a top-level
+        # argument: Ray resolves it before the task starts, zero-copy
+        counts = ray.get(list(map_partitions(
+            old_roots, _carry_partition, ray.put(dropped), stage,
+            old_partitions, num_partitions, *delta_refs,
+            parts=range(old_partitions)).values()))
+        summary = write_lineage(stage, time.time() - t, dict(
+            input_fingerprint(corpus_paths), updated_from=old_store_dir,
+            docs_total=docs_total, docs_retagged=docs_retagged,
+            docs_dropped=dropped.num_rows,
+            carry=("partition" if num_partitions == old_partitions
+                   else "rebucket"),
+            rows_carried=sum(c for c, _ in counts),
+            rows_fresh=sum(f for _, f in counts),
+            num_partitions=num_partitions))
     with _phase(phases, "entities"):
         summary["entities_path"] = (
             _write_entities(out_dir)
@@ -386,135 +430,77 @@ def _old_doc_keys(part: int, files: list[str]):
         use_threads=False)
 
 
-def _carry_partition(part: int, files: list[str], keys, stage: str,
+def _keyed(old):
+    """Round A's ``DOC_KEY`` rows with their ``_doc_key``; a row with a
+    null key column names no document and is left out."""
+    import pyarrow.compute as pc
+
+    old = _doc_key_batch(KEY_COLS, sha_col="content_sha256")(old)
+    return old.filter(pc.is_valid(old["_doc_key"]))
+
+
+def _pulled(ds, cols: list[str]):
+    """A small Dataset's ``cols`` as one string table on the driver."""
+    import pyarrow as pa
+    import ray
+
+    empty = _string_table(cols)
+    blocks = ray.get(ds.select_columns(cols).materialize().to_arrow_refs())
+    return pa.concat_tables([empty] + [b.select(cols).cast(empty.schema)
+                                       for b in blocks if b.num_rows])
+
+
+def _carry_partition(part: int, files: list[str], dropped, stage: str,
+                     old_partitions: int, num_partitions: int,
                      *delta) -> tuple[int, int]:
-    """Round B task: partition ``part``'s old rows whose doc key is in
-    ``keys`` (the corpus key table; a left semi join, where null keys
-    never match, per :func:`~ccnerx_ray.io.store.coalesced` run of row
-    groups: each join call hashes the whole key table), then its rows of
-    the ``delta`` blocks, streamed into one file (none for an empty
-    partition). Returns (rows carried, rows fresh)."""
+    """Round B task for old partition ``part``: its old rows whose doc key
+    is not in ``dropped`` (a multi-key left anti join per
+    :func:`~ccnerx_ray.io.store.coalesced` run of row groups), then its
+    share of the ``delta`` blocks (``part % old_partitions == part``),
+    streamed into ``part=K/part-{part}.parquet``: one file, ``K = part``,
+    at the old ``P``; otherwise the carried rows are re-hashed on
+    ``subj`` and each target partition ``K`` gets a file, one row group
+    per coalesced run. Returns (rows carried, rows fresh).
+
+    Rows with a null key column are not carried: they name no document,
+    and the fresh corpus's anti join re-extracts them, just as a semi
+    join against the corpus keys would never keep them. For every other
+    row the anti join against ``dropped`` keeps exactly what that semi
+    join would, only because every non-null doc key in a store has
+    exactly one ``in_repo`` row (``test_in_repo_rows_are_the_doc_manifest``):
+    an old row's key is then an old key, so it is either in the corpus or
+    in ``dropped``."""
+    import functools
     import os
 
-    import pyarrow.compute as pc
-
-    from ccnerx_ray.io.store import coalesced, row_groups, write_partition
-    from ccnerx_ray.stages.triples import TRIPLE_SCHEMA
-
-    names = TRIPLE_SCHEMA.names
-    fresh = [b.filter(pc.equal(b["part"], part)).select(names)
-             for b in delta if b.num_rows]
-    n_fresh = sum(b.num_rows for b in fresh)
-    carried = (t.join(keys, keys=DOC_KEY, join_type="left semi",
-                      use_threads=False)
-               for t in coalesced(row_groups(files, columns=names)))
-    rows = write_partition(
-        os.path.join(stage, f"part={part}", "part-0.parquet"),
-        itertools.chain(carried, fresh), TRIPLE_SCHEMA)
-    return rows - n_fresh, n_fresh
-
-
-def _carry_partitions(corpus, keys, old_roots, fresh_triples, out_dir: str,
-                      cfg: PipelineConfig, extra: dict, phases: dict) -> dict:
-    """The partition-local carry-forward (see :func:`update_kg`);
-    ``keys`` is the corpus key table on the driver."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
-    import ray.data
 
-    from ccnerx_ray.io.store import (add_part_column, map_partitions,
-                                     published, write_lineage)
-    from ccnerx_ray.ops.join import adaptive_join
+    from ccnerx_ray.io.store import (add_part_column, coalesced, row_groups,
+                                     write_partition)
+    from ccnerx_ray.stages.triples import TRIPLE_SCHEMA
 
-    with _phase(phases, "round_a"):
-        old = list(map_partitions(old_roots, _old_doc_keys).values())
-        old_keys = _doc_key_batch(KEY_COLS, sha_col="content_sha256")(
-            pa.concat_tables(old) if old else _string_table(DOC_KEY)
-        ).select(["_doc_key"])
-        # null corpus keys never match: those rows count as retagged
-        hit = pc.is_in(keys["_doc_key"], value_set=pc.drop_null(
-            old_keys["_doc_key"]))
-        extra.update(docs_total=keys.num_rows,
-                     docs_retagged=keys.num_rows - (pc.sum(hit).as_py() or 0))
+    rebucket = num_partitions != old_partitions
+    names = TRIPLE_SCHEMA.names
+    cols = names + ["part"] if rebucket else names
+    fresh = [b.filter(pa.array(b["part"].to_numpy() % old_partitions == part))
+             .select(cols) for b in delta if b.num_rows]
+    n_fresh = sum(b.num_rows for b in fresh)
 
-    num_partitions = cfg.output_partitions
-    with _phase(phases, "delta_tagging"):
-        fresh_corpus = adaptive_join(
-            corpus, ray.data.from_arrow(old_keys), on="_doc_key",
-            join_type="left_anti", build_bytes_hint=old_keys.nbytes,
-        ).drop_columns(["_doc_key", "content_sha256"])
-        # materialized first: to_arrow_refs on a lazy Dataset asks for its
-        # schema after the run and executes part of the plan again
-        delta_refs = fresh_triples(fresh_corpus).map_batches(
-            add_part_column(num_partitions),
-            batch_format="pyarrow").materialize().to_arrow_refs()
+    def carry(t):
+        t = t.filter(functools.reduce(pc.and_, [pc.is_valid(t[c])
+                                                for c in DOC_KEY]))
+        if dropped.num_rows:
+            t = t.join(dropped, keys=DOC_KEY, join_type="left anti",
+                       use_threads=False)
+        return add_part_column(num_partitions)(t) if rebucket else t
 
-    with _phase(phases, "round_b"), published(out_dir) as stage:
-        t = time.time()
-        # the key table is put once and every ref is a top-level
-        # argument: Ray resolves it before the task starts, zero-copy
-        counts = list(map_partitions(
-            old_roots, _carry_partition, ray.put(keys.select(DOC_KEY)),
-            stage, *delta_refs, parts=range(num_partitions)).values())
-        extra.update(carry="partition",
-                     rows_carried=sum(c for c, _ in counts),
-                     rows_fresh=sum(f for _, f in counts),
-                     num_partitions=num_partitions)
-        summary = write_lineage(stage, time.time() - t, extra)
-    return summary
+    def path(k):
+        return os.path.join(stage, f"part={k}", f"part-{part}.parquet")
 
-
-def _carry_dataset(corpus, corpus_keys, old_roots, fresh_triples,
-                   out_dir: str, cfg: PipelineConfig, extra: dict) -> dict:
-    """The Dataset carry-forward, past the broadcast bound: a keyed read
-    of the old store, left-semi ``adaptive_join``-ed against the corpus
-    key table (which picks a hash join sized from the old store's
-    lineage bytes), union the tagged delta, write."""
-    from ccnerx_ray.functions.grouping import PARTITION_BYTES
-    from ccnerx_ray.io.store import read_triple_store, write_triple_store
-    from ccnerx_ray.ops.join import adaptive_join
-    from ccnerx_ray.stages.triples import TRIPLE_SCHEMA, filter_in_repo
-
-    old_paths = [r for r, _ in old_roots]
-    old_bytes = sum(s["bytes"] for _, s in old_roots) or None
-    # the old store's document keys: its in_repo rows, one per document
-    old_keys = read_triple_store(
-        old_paths, columns=DOC_KEY + ["pred"],
-    ).map_batches(filter_in_repo, batch_format="pyarrow").map_batches(
-        _doc_key_batch(KEY_COLS, sha_col="content_sha256"),
-        batch_format="pyarrow").select_columns(["_doc_key"]).materialize()
-
-    old = read_triple_store(old_paths).map_batches(
-        _doc_key_batch(KEY_COLS, sha_col="content_sha256"),
-        batch_format="pyarrow")
-    tcols = [f.name for f in TRIPLE_SCHEMA]
-
-    def strip_key(batch):
-        import pyarrow as _pa
-        return batch.select(tcols).cast(_pa.schema(TRIPLE_SCHEMA))
-
-    kept = adaptive_join(
-        old, corpus_keys, on="_doc_key", join_type="left_semi",
-        probe_bytes_hint=old_bytes,
-    ).map_batches(strip_key, batch_format="pyarrow")
-
-    # counted over the two doc-scale tables: no corpus pass
-    docs_retagged = adaptive_join(corpus_keys, old_keys, on="_doc_key",
-                                  join_type="left_anti").count()
-    fresh_corpus = adaptive_join(
-        corpus, old_keys, on="_doc_key", join_type="left_anti",
-    ).drop_columns(["_doc_key", "content_sha256"])
-    extra.update(docs_total=corpus_keys.count(), docs_retagged=docs_retagged,
-                 carry="dataset")
-    # write width: one task per PARTITION_BYTES of store, at the old
-    # store's bytes per row. The shuffle rule's [cpus, 4*cpus] clamp is
-    # left out on purpose: its floor would split a small store into cpus
-    # files per partition, and its cap would let a task's bundle grow
-    # without bound (Ray's Parquet sink holds a task's blocks at once).
-    rows_per_task = (max(1, sum(s["rows"] for _, s in old_roots)
-                         * PARTITION_BYTES // old_bytes) if old_bytes else None)
-    return write_triple_store(kept.union(fresh_triples(fresh_corpus)),
-                              out_dir, cfg.output_partitions,
-                              lineage_extra=extra,
-                              min_rows_per_file=rows_per_task)
+    rows = write_partition(
+        path if rebucket else path(part),
+        itertools.chain(map(carry, coalesced(row_groups(files, columns=names))),
+                        fresh),
+        TRIPLE_SCHEMA)
+    return rows - n_fresh, n_fresh

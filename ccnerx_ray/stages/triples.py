@@ -26,8 +26,10 @@ pipeline-vs-oracle P/R compares two independent implementations:
   mentions must not emit O(n²) pairs at 10^12-file scale);
 * ``(file_ref, "in_repo", repo)`` and ``(file_ref, "has_lang", lang)`` —
   only from ``seg_id == 0`` so each file emits them exactly once. The
-  ``in_repo`` rows are therefore the store's document manifest (see
-  :func:`filter_in_repo`).
+  ``in_repo`` rows are therefore the store's document manifest: exactly
+  one per document with a non-null key that has any triple, each carrying
+  the full doc key ``(repo, path, commit, content_sha256)``
+  (``pipelines/kg.py:update_kg`` reads the old store's keys from them).
 
 Rows come out per segment in rule order (``instance_of``,
 ``mentioned_in``, ``co_occurs_with``, ``in_repo``, ``has_lang``), each rule's
@@ -220,12 +222,3 @@ def _pair_indices(k: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     i = np.where(c(i + 1) <= k, i + 1, i)
     i = np.where(c(i) > k, i - 1, i)
     return i, i + 1 + k - c(i)
-
-
-def filter_in_repo(batch: pa.Table) -> pa.Table:
-    """Keep the ``in_repo`` rows: exactly one per document with a
-    non-null key that has any triple (the ``seg_id == 0`` rule above),
-    each carrying the full doc key ``(repo, path, commit,
-    content_sha256)`` — a store's document manifest, read without a
-    distinct over its triples."""
-    return batch.filter(pc.equal(batch.column("pred"), "in_repo"))

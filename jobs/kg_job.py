@@ -37,8 +37,9 @@ def main() -> int:
     ap.add_argument("--catalog", default=None,
                     help="entity catalog JSONL ({word,label}); default: "
                     "built-in synthetic catalog (seed 42)")
-    ap.add_argument("--partitions", type=int, default=64,
-                    help="hash(subj) partitions of the store")
+    ap.add_argument("--partitions", type=int, default=None,
+                    help="hash(subj) partitions of the store (default: 64; "
+                    "with --update-from, the old store's)")
     ap.add_argument("--chunk-size", type=int, default=16,
                     help="input files per resumable chunk")
     ap.add_argument("--no-resume", action="store_true",
@@ -89,6 +90,12 @@ def main() -> int:
         from ccnerx_ray.corpus import build_catalog
         catalog = sorted(build_catalog(42).surface2label.items())
 
+    if args.partitions is None:
+        from ccnerx_ray.io.store import store_num_partitions
+        # an update keeps the old store's modulus unless asked to change
+        # it: another P re-buckets every carried row
+        args.partitions = (store_num_partitions(args.update_from)
+                           if args.update_from else 64)
     n = int(ray.cluster_resources().get("CPU", 8))
     cfg = PipelineConfig(read_parallelism=n * 8,
                          output_partitions=args.partitions)

@@ -939,6 +939,27 @@ def test_adaptive_join_empty_build_semi_anti(ray_session):
     assert semi.schema().names == ["k", "v"]
 
 
+def test_adaptive_join_runs_a_lazy_build_once(ray_session, tmp_path):
+    """A lazy build side is executed once for the broadcast: its map runs
+    once per block, not again when the blocks' refs are taken."""
+    import ray.data
+    from ccnerx_ray.ops.join import adaptive_join
+    calls = tmp_path / "calls"
+
+    def mark(batch):
+        with open(calls, "a") as fh:
+            fh.write("x\n")
+        return batch
+
+    probe = ray.data.from_items([{"k": i, "v": i} for i in range(10)])
+    build = ray.data.from_items([{"k": i} for i in range(0, 10, 2)],
+                                override_num_blocks=2).map_batches(mark)
+    out = adaptive_join(probe, build, on="k", join_type="left_semi",
+                        build_bytes_hint=100)
+    assert sorted(r["v"] for r in out.take_all()) == [0, 2, 4, 6, 8]
+    assert calls.read_text().count("x") == 2
+
+
 def test_media_headers_expected_equals_probe():
     """Parameter-derived expectation == byte-parsed probe output for the
     fixture (the invariant behind the media_headers SQL oracle)."""

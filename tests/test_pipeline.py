@@ -13,7 +13,8 @@ import pyarrow.parquet as pq
 import pytest
 
 from ccnerx_ray.config import PipelineConfig
-from ccnerx_ray.corpus import build_catalog, generate_corpus, write_corpus
+from ccnerx_ray.corpus import (CORPUS_SCHEMA, build_catalog, generate_corpus,
+                               write_corpus)
 from ccnerx_ray.pipelines.kg import (mentions_dataset, read_corpus, run_kg,
                                      triples_dataset)
 from ccnerx_ray.pipelines.oracle import oracle_triples, prf
@@ -449,7 +450,8 @@ def _corpus_rows(corpus_dir: str) -> list[dict]:
 
 def _write_corpus_rows(rows: list[dict], d: str) -> str:
     os.makedirs(d)
-    pq.write_table(pa.Table.from_pylist(rows), os.path.join(d, "a.parquet"))
+    pq.write_table(pa.Table.from_pylist(rows, schema=CORPUS_SCHEMA),
+                   os.path.join(d, "a.parquet"))
     return d
 
 
@@ -475,12 +477,8 @@ def test_update_kg_store_layout_matches_build(ray_session, corpus_dir,
                                               catalog_pairs, tmp_path):
     """An updated store keeps a build's layout: no partition holds more
     files than the same partition of a fresh ``run_kg`` over the new
-    corpus (the write is bundled from the old store's lineage, not one
-    file per upstream block), and ``lookup_subject`` on it equals a
-    pyarrow scan."""
-    import pyarrow.dataset as pds
-
-    from ccnerx_ray.io.store import lookup_subject
+    corpus (round B writes one file per partition, not one per upstream
+    block), and ``lookup_subject`` on it equals a pyarrow scan."""
     from ccnerx_ray.pipelines.kg import update_kg
 
     store1 = str(tmp_path / "store1")
@@ -498,8 +496,17 @@ def test_update_kg_store_layout_matches_build(ray_session, corpus_dir,
     got, want = files_per_part(upd), files_per_part(full)
     assert set(got) == set(want)
     assert all(got[d] <= want[d] for d in got), (got, want)
+    _assert_lookup_equals_scan(upd)
 
-    table = pds.dataset(upd, format="parquet",
+
+def _assert_lookup_equals_scan(store: str) -> None:
+    """``lookup_subject`` on ``store`` equals a pyarrow scan of it, for a
+    sample of its subjects and a miss."""
+    import pyarrow.dataset as pds
+
+    from ccnerx_ray.io.store import lookup_subject
+
+    table = pds.dataset(store, format="parquet",
                         partitioning="hive").to_table()
     subjects = sorted(set(table.column("subj").to_pylist()))
     assert subjects
@@ -510,7 +517,7 @@ def test_update_kg_store_layout_matches_build(ray_session, corpus_dir,
 
     for subj in subjects[::max(1, len(subjects) // 25)] + ["no-such-subj"]:
         scan = table.filter(pds.field("subj") == subj).select(cols)
-        assert rows_key(lookup_subject(upd, subj)) == rows_key(
+        assert rows_key(lookup_subject(store, subj)) == rows_key(
             scan.to_pylist()), subj
 
 
@@ -679,7 +686,7 @@ def test_update_kg_runs_no_grouped_shuffle(ray_session, corpus_dir,
 
 
 def _updated_and_fresh(tmp_path, corpus_dir, catalog_pairs, rows, name,
-                       cfg=CFG, old_store=None):
+                       cfg=CFG, old_store=None, include_structure=False):
     """``update_kg`` from the fixture corpus's store to ``rows``, and a
     fresh ``run_kg`` of ``rows``; returns (update summary, updated store,
     fresh store)."""
@@ -691,8 +698,9 @@ def _updated_and_fresh(tmp_path, corpus_dir, catalog_pairs, rows, name,
                build_entities=False)
     v2 = _write_corpus_rows(rows, str(tmp_path / f"{name}_corpus"))
     upd, full = str(tmp_path / f"{name}_upd"), str(tmp_path / f"{name}_full")
-    s = update_kg(v2, catalog_pairs, old_store, upd, cfg)
-    run_kg(v2, catalog_pairs, full, cfg)
+    s = update_kg(v2, catalog_pairs, old_store, upd, cfg,
+                  include_structure=include_structure)
+    run_kg(v2, catalog_pairs, full, cfg, include_structure=include_structure)
     return s, upd, full
 
 
@@ -715,10 +723,6 @@ def test_update_kg_partition_path_edge_deltas(ray_session, corpus_dir,
     corpus), on a corpus that keeps no old document, and on one that
     changes every document: typed results equal to a fresh build, every
     updated file with a build file's Parquet schema."""
-    import pandas as pd
-
-    from ccnerx_ray.stages.triples import TRIPLE_SCHEMA
-
     rows = _corpus_rows(corpus_dir)
     if case == "all_removed":
         rows = [dict(r, repo="moved/" + r["repo"]) for r in rows]
@@ -733,6 +737,16 @@ def test_update_kg_partition_path_edge_deltas(ray_session, corpus_dir,
         assert s["rows_fresh"] == 0 and s["rows_carried"] == s["rows"] > 0
     else:
         assert s["rows_carried"] == 0 and s["docs_retagged"] == len(rows)
+    _assert_update_equals_fresh(upd, full)
+
+
+def _assert_update_equals_fresh(upd: str, full: str) -> None:
+    """The updated store's triples and entity table equal the fresh
+    build's, and every updated file has a build file's Parquet schema."""
+    import pandas as pd
+
+    from ccnerx_ray.stages.triples import TRIPLE_SCHEMA
+
     pd.testing.assert_frame_equal(_triple_frame(upd), _triple_frame(full))
     pd.testing.assert_frame_equal(_entity_frame(upd), _entity_frame(full))
     build_schema = pq.read_schema(
@@ -744,11 +758,11 @@ def test_update_kg_partition_path_edge_deltas(ray_session, corpus_dir,
 
 def test_update_kg_reads_no_old_store_dataset(ray_session, corpus_dir,
                                               catalog_pairs, tmp_path,
-                                              monkeypatch):
-    """On the partition path the old store is read only by per-partition
-    pyarrow tasks: neither ``read_triple_store`` nor
-    ``ray.data.read_parquet`` ever sees a path under it."""
-    import pandas as pd
+                                              monkeypatch, update_way):
+    """The old store is read only by per-partition pyarrow tasks, also
+    past the broadcast bound and when the update changes ``P``: neither
+    ``read_triple_store`` nor ``ray.data.read_parquet`` ever sees a path
+    under it."""
     import ray.data
 
     import ccnerx_ray.io.store as store
@@ -771,17 +785,53 @@ def test_update_kg_reads_no_old_store_dataset(ray_session, corpus_dir,
                         guarded(store.read_triple_store))
     v2, _ = _corpus_v2(corpus_dir, str(tmp_path / "v2"))
     rows = _corpus_rows(v2)
-    s, upd, full = _updated_and_fresh(tmp_path, corpus_dir, catalog_pairs,
-                                      rows, "v2", old_store=store1)
-    assert s["carry"] == "partition" and s["docs_retagged"] == 7 + 4
-    pd.testing.assert_frame_equal(_triple_frame(upd), _triple_frame(full))
+    partitions, carry = update_way
+    s, upd, full = _updated_and_fresh(
+        tmp_path, corpus_dir, catalog_pairs, rows, "v2",
+        cfg=PipelineConfig(output_partitions=partitions), old_store=store1)
+    assert s["carry"] == carry and s["docs_retagged"] == 7 + 4
+    assert s["num_partitions"] == partitions
+    _assert_update_equals_fresh(upd, full)
+
+
+@pytest.mark.parametrize("case", ["null_corpus", "null_old_store"])
+def test_update_kg_null_key_rows(ray_session, corpus_dir, catalog_pairs,
+                                 tmp_path, case, update_way):
+    """Rows with a null key column name no document: the tagger skips
+    them, structure extraction keeps them. An update equals a fresh build
+    for a corpus whose rows all have null keys, and from an old store
+    holding null-key structure rows that the new corpus still has: round
+    B never carries such a row, the fresh corpus re-extracts it."""
+    rows = _corpus_rows(corpus_dir)
+    if case == "null_corpus":
+        old_rows, new_rows = rows, [dict(r, commit=None) for r in rows]
+    else:
+        nulls = [dict(r, commit=None) for r in rows[:3]]
+        v2, _ = _corpus_v2(corpus_dir, str(tmp_path / "v2"))
+        old_rows, new_rows = rows + nulls, _corpus_rows(v2) + nulls
+    old_store = str(tmp_path / "old")
+    run_kg(_write_corpus_rows(old_rows, str(tmp_path / "old_corpus")),
+           catalog_pairs, old_store, CFG, build_entities=False,
+           include_structure=True)
+    partitions, carry = update_way
+    s, upd, full = _updated_and_fresh(
+        tmp_path, corpus_dir, catalog_pairs, new_rows, case,
+        cfg=PipelineConfig(output_partitions=partitions),
+        old_store=old_store, include_structure=True)
+    assert s["carry"] == carry and s["docs_total"] == len(new_rows)
+    if case == "null_corpus":   # no old document is kept
+        assert s["rows_carried"] == 0 and s["docs_dropped"] > 0
+        assert s["docs_retagged"] == len(new_rows)
+    _assert_update_equals_fresh(upd, full)
 
 
 def test_update_kg_dataset_fallback_equals_partition_path(
         ray_session, corpus_dir, catalog_pairs, tmp_path, monkeypatch):
-    """Past the broadcast bound, and for a ``P`` other than the old
-    store's, the update runs the Dataset carry-forward; lineage records
-    which path ran, and the triples equal the partition path's."""
+    """Past the broadcast bound the update joins the dropped doc keys with
+    a Dataset join but carries the triples partition by partition, and
+    for a ``P`` other than the old store's it re-buckets them; lineage
+    records which carry ran, and the triples equal the partition
+    path's."""
     import json
 
     import pandas as pd
@@ -797,7 +847,7 @@ def test_update_kg_dataset_fallback_equals_partition_path(
     s_ds, upd_ds, _ = _updated_and_fresh(tmp_path, corpus_dir, catalog_pairs,
                                          rows, "dataset")
     with open(os.path.join(upd_ds, "_lineage", "_summary.json")) as fh:
-        assert json.load(fh)["carry"] == s_ds["carry"] == "dataset"
+        assert json.load(fh)["carry"] == s_ds["carry"] == "partition"
     assert (s_ds["docs_total"], s_ds["docs_retagged"]) == (
         s["docs_total"], s["docs_retagged"])
     pd.testing.assert_frame_equal(_triple_frame(upd_ds), _triple_frame(upd))
@@ -807,7 +857,7 @@ def test_update_kg_dataset_fallback_equals_partition_path(
     s_p8, upd_p8, full_p8 = _updated_and_fresh(
         tmp_path, corpus_dir, catalog_pairs, rows, "p8",
         cfg=PipelineConfig(output_partitions=8))
-    assert s_p8["carry"] == "dataset" and s_p8["num_partitions"] == 8
+    assert s_p8["carry"] == "rebucket" and s_p8["num_partitions"] == 8
     pd.testing.assert_frame_equal(_triple_frame(upd_p8), _triple_frame(upd))
 
 
@@ -840,8 +890,8 @@ def test_update_kg_from_chunked_store_equals_fresh_build(
 def test_update_kg_lineage_explains_the_run(ray_session, corpus_dir,
                                             catalog_pairs, tmp_path):
     """The update's lineage summary says which carry-forward ran, how many
-    rows it carried and tagged afresh, and the wall seconds of each
-    phase."""
+    documents it dropped, how many rows it carried and tagged afresh, and
+    the wall seconds of each phase."""
     import json
 
     v2, _ = _corpus_v2(corpus_dir, str(tmp_path / "v2"))
@@ -850,6 +900,7 @@ def test_update_kg_lineage_explains_the_run(ray_session, corpus_dir,
     with open(os.path.join(upd, "_lineage", "_summary.json")) as fh:
         lineage = json.load(fh)
     assert lineage["carry"] == "partition"
+    assert lineage["docs_dropped"] == 5 + 7     # removed + changed
     assert lineage["rows_carried"] + lineage["rows_fresh"] == lineage["rows"]
     assert lineage["rows_carried"] > 0 and lineage["rows_fresh"] > 0
     assert set(lineage["phases_s"]) == {"corpus_keys", "round_a",
@@ -857,3 +908,44 @@ def test_update_kg_lineage_explains_the_run(ray_session, corpus_dir,
                                         "entities"}
     assert all(v >= 0 for v in lineage["phases_s"].values())
     assert lineage["phases_s"] == s["phases_s"]
+
+
+def test_kg_job_update_keeps_the_old_partitions(ray_session, corpus_dir,
+                                                tmp_path, monkeypatch):
+    """``jobs/kg_job.py --update-from`` defaults ``--partitions`` to the
+    old store's, so an update of a 4-partition build stays partition-local
+    without repeating the flag; ``--partitions 8`` re-buckets. Lookups on
+    both stores equal a pyarrow scan."""
+    import importlib.util
+    import json
+    import sys
+
+    import ray
+
+    path = os.path.join(os.path.dirname(__file__), "..", "jobs", "kg_job.py")
+    spec = importlib.util.spec_from_file_location("kg_job", path)
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    # the job owns its Ray session when it starts one; here it joins the
+    # test session, which must outlive it
+    monkeypatch.setattr(ray, "shutdown", lambda: None)
+
+    def run(*argv):
+        monkeypatch.setattr(sys, "argv", ["kg_job.py", *argv])
+        assert job.main() == 0
+
+    def lineage(store):
+        with open(os.path.join(store, "_lineage", "_summary.json")) as fh:
+            return json.load(fh)
+
+    store = str(tmp_path / "store")
+    run("--input", corpus_dir, "--output", store, "--partitions", "4",
+        "--no-resume")
+    v2, _ = _corpus_v2(corpus_dir, str(tmp_path / "v2"))
+    for flags, partitions, carry in [((), 4, "partition"),
+                                     (("--partitions", "8"), 8, "rebucket")]:
+        upd = str(tmp_path / f"upd{partitions}")
+        run("--input", v2, "--output", upd, "--update-from", store, *flags)
+        got = lineage(upd)
+        assert (got["num_partitions"], got["carry"]) == (partitions, carry)
+        _assert_lookup_equals_scan(upd)

@@ -148,14 +148,18 @@ def test_run_kg_include_structure(ray_session, corpus_dir, catalog_pairs,
 
 
 def test_update_kg_include_structure_equals_full(ray_session, corpus_dir,
-                                                 catalog_pairs, tmp_path):
+                                                 catalog_pairs, tmp_path,
+                                                 update_way):
     """Incremental update with structural triples on: carry-forward +
-    delta re-extract reproduces a fresh unified run bit-for-bit."""
+    delta re-extract reproduces a fresh unified run bit-for-bit (triples
+    and entity table, both typed), also past the broadcast bound and
+    when the update changes ``P``."""
     import pandas as pd
     import pyarrow.parquet as pq
 
     from ccnerx_ray.io.store import read_triple_store
     from ccnerx_ray.pipelines.kg import run_kg, update_kg
+    from ccnerx_ray.stages.canonical import ENTITY_SCHEMA
 
     store1 = str(tmp_path / "s1")
     run_kg(corpus_dir, catalog_pairs, store1, CFG, build_entities=False,
@@ -173,17 +177,29 @@ def test_update_kg_include_structure_equals_full(ray_session, corpus_dir,
     t = pa.Table.from_pylist(rows)
     pq.write_table(t, os.path.join(v2, "a.parquet"))
 
+    partitions, carry = update_way
+    cfg = PipelineConfig(output_partitions=partitions)
     upd = str(tmp_path / "s_upd")
     full = str(tmp_path / "s_full")
-    s_upd = update_kg(v2, catalog_pairs, store1, upd, CFG,
-                      build_entities=False, include_structure=True)
-    run_kg(v2, catalog_pairs, full, CFG, build_entities=False,
-           include_structure=True)
+    s_upd = update_kg(v2, catalog_pairs, store1, upd, cfg,
+                      include_structure=True)
+    run_kg(v2, catalog_pairs, full, cfg, include_structure=True)
     assert s_upd["docs_retagged"] == 5 + 1
+    assert s_upd["carry"] == carry
 
     def frame(store):
         df = read_triple_store(store).to_pandas()
         cols = sorted(c for c in df.columns if c != "part")
         return df[cols].sort_values(cols).reset_index(drop=True)
 
+    def entities(store):
+        t = pa.concat_tables([pq.read_table(f) for f in sorted(
+            glob.glob(os.path.join(store + "_entities", "*.parquet")))])
+        assert t.schema.equals(ENTITY_SCHEMA)
+        df = t.to_pandas()
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
     pd.testing.assert_frame_equal(frame(upd), frame(full))
+    pd.testing.assert_frame_equal(entities(upd), entities(full))
+    for f in glob.glob(os.path.join(upd, "part=*", "*.parquet")):
+        assert pq.read_schema(f).equals(TRIPLE_SCHEMA, check_metadata=True)
